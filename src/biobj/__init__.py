@@ -15,7 +15,7 @@ from .base_functions import (
     instantiate_base,
     properties_of,
 )
-from .indicator import Archive, dominates, hypervolume, normalize, normalized_hv
+from .indicator import Archive, dominates, hypervolume, normalize
 from .suite import (
     BiObjProblem,
     ProblemId,
@@ -44,7 +44,6 @@ __all__ = [
     "instantiate_base",
     "instantiate_problem",
     "normalize",
-    "normalized_hv",
     "pair_index",
     "properties_of",
     "unpair",

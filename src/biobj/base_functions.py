@@ -7,7 +7,6 @@ matrices or peak layouts, all drawn from independent seeded streams.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -99,13 +98,6 @@ class BaseInstance:
     f_opt: float
     rotations: tuple[np.ndarray, ...]
     aux: dict
-
-    @property
-    def name(self) -> str:
-        return BASE_FUNCTION_NAMES[self.fn]
-
-    def evaluate(self, x) -> float:
-        return evaluate_base(self, x)
 
 
 def _check_fn(fn: int) -> None:
@@ -333,25 +325,3 @@ _EVALUATORS = {
     20: _eval_schwefel,
     21: _eval_gallagher,
 }
-
-
-def _checksum(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:12]
-
-
-def describe_instance(inst: BaseInstance) -> str:
-    """Textual per-instance manifest for regression pinning."""
-    lines = [
-        f"function: {inst.fn} ({inst.name})",
-        f"instance: {inst.instance_id}",
-        f"dim: {inst.dim}",
-        "x_opt: " + " ".join(repr(float(v)) for v in inst.x_opt),
-        f"f_opt: {inst.f_opt!r}",
-    ]
-    for i, rot in enumerate(inst.rotations):
-        lines.append(f"rotation_{i}_sha256: {_checksum(rot)}")
-    for key in sorted(inst.aux):
-        val = inst.aux[key]
-        if isinstance(val, np.ndarray):
-            lines.append(f"aux_{key}_sha256: {_checksum(val)}")
-    return "\n".join(lines)

@@ -83,11 +83,6 @@ def _add_filters(p: argparse.ArgumentParser) -> None:
     p.add_argument("--functions", type=_int_set, help="pair indices, e.g. 1,5-10")
     p.add_argument("--dims", type=_int_set, help="dimensions, e.g. 2,3,5")
     p.add_argument("--instances", type=_int_set, help="instance ids, e.g. 1-10")
-    p.add_argument(
-        "--non-standard-dims",
-        action="store_true",
-        help="allow dimensions outside the standard six (testing only)",
-    )
 
 
 def _emit(lines, out_path):
@@ -108,15 +103,7 @@ def _cmd_suite(args) -> int:
             print(f"    {k}: {compute_instance_pair(k)},")
         print("}")
         return EXIT_OK
-    if args.non_standard_dims:
-        ids = [
-            suite.ProblemId(k, d, i)
-            for d in (args.dims or suite.SUITE_DIMS)
-            for k in (args.functions or range(1, suite.N_PAIRS + 1))
-            for i in (args.instances or range(1, suite.N_INSTANCES + 1))
-        ]
-    else:
-        ids = suite.enumerate_suite(args.functions, args.dims, args.instances)
+    ids = suite.enumerate_suite(args.functions, args.dims, args.instances)
     if args.suite_command == "list":
         lines = [
             f"{pid} {suite.pair_name(pid.pair_index)} [{suite.group_of(pid.pair_index)}]"

@@ -49,9 +49,6 @@ ROSENBROCK_XOPT_RANGE = 3.0
 #: Non-global Gaussian-peak centers may use a slightly wider box.
 PEAK_RANGE = 4.9
 
-#: Suggested search domain of interest given to optimizers.
-DOMAIN_OF_INTEREST = 100.0
-
 # ---------------------------------------------------------------------------
 # Schwefel-type function.
 # ---------------------------------------------------------------------------

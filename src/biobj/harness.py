@@ -1,15 +1,14 @@
 """Baseline optimizers, run records, and the experiment runner.
 
 A run produces a RunRecord: an evaluation-indexed trace of normalized
-hypervolume at archive-change events plus the final archive.  Records are
-written as line-oriented text files (see ``write_record``) so re-runs with
-identical configuration are byte-identical.
+hypervolume at archive-change events plus the final archive.  RunRecord owns
+the line-oriented ``.rec`` text format (``to_text``/``from_text``), so re-runs
+with identical configuration write byte-identical files.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,27 @@ DEFAULT_SIGMA = 0.5
 OPTIMIZERS = ("random-search", "archive-evolver")
 
 
+class RecordError(ValueError):
+    """A record's text is malformed or violates the trace invariants."""
+
+
+#: Required header keys, in file order; an optional ``sigma`` may follow.
+_HEADER_FIELDS = (
+    "pair_index", "dim", "instance", "group", "optimizer", "seed", "budget",
+    "ideal", "nadir",
+)
+
+
 @dataclass
 class RunRecord:
+    """One run: problem, optimizer settings, trace and final archive.
+
+    ``trace`` holds (evaluation index, normalized hypervolume) at every
+    archive change.  ``archive`` holds the final archive, one tuple of plain
+    floats per entry: ``(a_norm, b_norm, f1, f2, x_1, ..., x_D)``.  The text
+    form (``to_text``/``from_text``) is the ``.rec`` file format.
+    """
+
     problem: ProblemId
     optimizer: str
     seed: int
@@ -41,12 +59,117 @@ class RunRecord:
     ideal: tuple[float, float]
     nadir: tuple[float, float]
     trace: list[tuple[int, float]]
-    archive: Archive
+    archive: list[tuple[float, ...]]
     sigma: float | None = None
 
     @property
     def final_hv(self) -> float:
         return self.trace[-1][1] if self.trace else 0.0
+
+    @property
+    def objectives(self) -> list[tuple[float, float]]:
+        """Raw objective values (f1, f2) of the final archive entries."""
+        return [(row[2], row[3]) for row in self.archive]
+
+    def to_text(self) -> str:
+        pid = self.problem
+        lines = [
+            f"pair_index: {pid.pair_index}",
+            f"dim: {pid.dim}",
+            f"instance: {pid.instance}",
+            f"group: {self.group}",
+            f"optimizer: {self.optimizer}",
+            f"seed: {self.seed}",
+            f"budget: {self.budget}",
+            f"ideal: {self.ideal[0]!r} {self.ideal[1]!r}",
+            f"nadir: {self.nadir[0]!r} {self.nadir[1]!r}",
+        ]
+        if self.sigma is not None:
+            lines.append(f"sigma: {self.sigma!r}")
+        lines.append("trace:")
+        lines += [f"{i} {hv!r}" for i, hv in self.trace]
+        lines.append("archive:")
+        lines += [" ".join(map(repr, row)) for row in self.archive]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> RunRecord:
+        """Parse the output of ``to_text``; raises RecordError when malformed."""
+        lines = text.splitlines()
+        try:
+            at_trace = lines.index("trace:")
+            at_archive = lines.index("archive:", at_trace)
+        except ValueError:
+            raise RecordError("missing 'trace:' or 'archive:' line") from None
+        header: dict[str, str] = {}
+        for line in lines[:at_trace]:
+            key, sep, value = line.partition(": ")
+            known = key in _HEADER_FIELDS or key == "sigma"
+            if not sep or not known or key in header:
+                raise RecordError(f"malformed header line {line!r}")
+            header[key] = value
+        for key in _HEADER_FIELDS:
+            if key not in header:
+                raise RecordError(f"missing header field {key!r}")
+
+        problem = ProblemId(
+            *(_parse(int, header[k], k) for k in ("pair_index", "dim", "instance"))
+        )
+        if problem.dim < 1:
+            raise RecordError(f"malformed dim: {problem.dim}")
+        record = cls(
+            problem=problem,
+            optimizer=header["optimizer"],
+            seed=_parse(int, header["seed"], "seed"),
+            budget=_parse(int, header["budget"], "budget"),
+            group=header["group"],
+            ideal=_parse(_float_pair, header["ideal"], "ideal"),
+            nadir=_parse(_float_pair, header["nadir"], "nadir"),
+            trace=[
+                _parse(_trace_point, line, "trace line")
+                for line in lines[at_trace + 1 : at_archive]
+            ],
+            archive=[
+                _parse(_floats, line, "archive line")
+                for line in lines[at_archive + 1 :]
+            ],
+            sigma=(
+                _parse(float, header["sigma"], "sigma") if "sigma" in header else None
+            ),
+        )
+        for prev, cur in zip(record.trace, record.trace[1:]):
+            if cur[0] <= prev[0] or cur[1] < prev[1]:
+                raise RecordError(f"trace not monotone at eval {cur[0]}")
+        if record.trace and record.trace[-1][0] > record.budget:
+            raise RecordError("trace exceeds budget")
+        width = 4 + problem.dim
+        for row in record.archive:
+            if len(row) != width:
+                raise RecordError(
+                    f"archive row has {len(row)} values, expected {width}"
+                )
+        return record
+
+
+def _parse(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise RecordError(f"malformed {what}: {text!r}") from None
+
+
+def _float_pair(text: str) -> tuple[float, float]:
+    a, b = text.split()
+    return float(a), float(b)
+
+
+def _trace_point(text: str) -> tuple[int, float]:
+    i, hv = text.split()
+    return int(i), float(hv)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split()))
 
 
 def _run_rng(problem: BiObjProblem, seed: int, tag: int) -> np.random.Generator:
@@ -56,7 +179,16 @@ def _run_rng(problem: BiObjProblem, seed: int, tag: int) -> np.random.Generator:
     )
 
 
-def _record_from(problem, optimizer, seed, budget, trace, archive, sigma=None):
+def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
+    """Evaluate ``budget`` points from ``propose(archive)``; trace each change."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    archive = Archive(problem.ideal, problem.nadir)
+    trace: list[tuple[int, float]] = []
+    for i in range(1, budget + 1):
+        x = propose(archive)
+        if archive.insert(x, problem.evaluate(x)):
+            trace.append((i, archive.hypervolume_value))
     return RunRecord(
         problem=problem.id,
         optimizer=optimizer,
@@ -66,24 +198,21 @@ def _record_from(problem, optimizer, seed, budget, trace, archive, sigma=None):
         ideal=problem.ideal,
         nadir=problem.nadir,
         trace=trace,
-        archive=archive,
+        archive=[
+            (*e.normalized, *e.objectives, *e.x.tolist()) for e in archive.entries
+        ],
         sigma=sigma,
     )
 
 
 def run_random_search(problem: BiObjProblem, budget: int, seed: int) -> RunRecord:
     """Uniform sampling in [-5, 5]^D; exactly ``budget`` evaluations."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     rng = _run_rng(problem, seed, 0)
-    archive = Archive(problem.ideal, problem.nadir)
-    trace: list[tuple[int, float]] = []
     d = problem.dim
-    for i in range(1, budget + 1):
-        x = rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d)
-        if archive.insert(x, problem.evaluate(x)):
-            trace.append((i, archive.hypervolume_value))
-    return _record_from(problem, "random-search", seed, budget, trace, archive)
+    return _run(
+        problem, budget, seed, "random-search",
+        lambda archive: rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d),
+    )
 
 
 def run_archive_evolver(
@@ -93,25 +222,18 @@ def run_archive_evolver(
     step_sigma: float = DEFAULT_SIGMA,
 ) -> RunRecord:
     """Mutate uniformly chosen archive members with Gaussian steps."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     if step_sigma <= 0:
         raise ValueError(f"step sigma must be positive, got {step_sigma}")
     rng = _run_rng(problem, seed, 1)
-    archive = Archive(problem.ideal, problem.nadir)
-    trace: list[tuple[int, float]] = []
     d = problem.dim
-    for i in range(1, budget + 1):
+
+    def propose(archive: Archive) -> np.ndarray:
         if archive.entries:
             parent = archive.entries[rng.integers(len(archive.entries))].x
-            x = parent + step_sigma * rng.standard_normal(d)
-        else:
-            x = rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d)
-        if archive.insert(x, problem.evaluate(x)):
-            trace.append((i, archive.hypervolume_value))
-    return _record_from(
-        problem, "archive-evolver", seed, budget, trace, archive, step_sigma
-    )
+            return parent + step_sigma * rng.standard_normal(d)
+        return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d)
+
+    return _run(problem, budget, seed, "archive-evolver", propose, step_sigma)
 
 
 def run_optimizer(
@@ -133,97 +255,38 @@ def record_filename(record: RunRecord) -> str:
     return f"{record.problem}_{record.optimizer}_s{record.seed:03d}.rec"
 
 
-def format_record(record: RunRecord) -> str:
-    pid = record.problem
-    header = [
-        f"pair_index: {pid.pair_index}",
-        f"dim: {pid.dim}",
-        f"instance: {pid.instance}",
-        f"group: {record.group}",
-        f"optimizer: {record.optimizer}",
-        f"seed: {record.seed}",
-        f"budget: {record.budget}",
-        f"ideal: {record.ideal[0]!r} {record.ideal[1]!r}",
-        f"nadir: {record.nadir[0]!r} {record.nadir[1]!r}",
-    ]
-    if record.sigma is not None:
-        header.append(f"sigma: {record.sigma!r}")
-    parts = header + ["trace:"]
-    parts += [f"{i} {hv!r}" for i, hv in record.trace]
-    # archive section: normalized pair, raw pair, then the decision vector
-    parts.append("archive:")
-    parts += record.archive.dump_lines()
-    return "\n".join(parts) + "\n"
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temp file and a rename.
 
-
-def write_record(record: RunRecord, directory: str) -> str:
-    """Atomically write one record file (temp file + rename)."""
-    path = os.path.join(directory, record_filename(record))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    The temp file is created by ``open``, so the result gets the mode a
+    plain ``open(path, "w")`` gives under the current umask.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(format_record(record))
+        with open(tmp, "w") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_record(record: RunRecord, directory: str) -> str:
+    """Atomically write one record file; returns its path."""
+    path = os.path.join(directory, record_filename(record))
+    _write_atomic(path, record.to_text())
     return path
 
 
-class RecordError(ValueError):
-    """A record file is missing fields or violates trace invariants."""
-
-
-def read_record(path: str) -> dict:
-    """Parse a record file; validates the trace invariants on load."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    meta: dict = {}
-    trace: list[tuple[int, float]] = []
-    archive_rows: list[list[float]] = []
-    section = "header"
-    for ln in lines:
-        if not ln:
-            continue
-        if ln == "trace:":
-            section = "trace"
-            continue
-        if ln == "archive:":
-            section = "archive"
-            continue
-        if section == "header":
-            if ": " not in ln:
-                raise RecordError(f"{path}: malformed header line {ln!r}")
-            key, val = ln.split(": ", 1)
-            meta[key] = val
-        elif section == "trace":
-            i_str, hv_str = ln.split()
-            trace.append((int(i_str), float(hv_str)))
-        else:
-            archive_rows.append([float(v) for v in ln.split()])
-    for key in ("pair_index", "dim", "instance", "group", "optimizer", "seed", "budget"):
-        if key not in meta:
-            raise RecordError(f"{path}: missing header field {key!r}")
-    for prev, cur in zip(trace, trace[1:]):
-        if cur[0] <= prev[0] or cur[1] < prev[1]:
-            raise RecordError(f"{path}: trace not monotone at eval {cur[0]}")
-    if trace and trace[-1][0] > int(meta["budget"]):
-        raise RecordError(f"{path}: trace exceeds budget")
-    return {
-        "pair_index": int(meta["pair_index"]),
-        "dim": int(meta["dim"]),
-        "instance": int(meta["instance"]),
-        "group": meta["group"],
-        "optimizer": meta["optimizer"],
-        "seed": int(meta["seed"]),
-        "budget": int(meta["budget"]),
-        "ideal": tuple(float(v) for v in meta["ideal"].split()),
-        "nadir": tuple(float(v) for v in meta["nadir"].split()),
-        "trace": trace,
-        "final_hv": trace[-1][1] if trace else 0.0,
-        "archive": archive_rows,
-    }
+def read_record(path: str) -> RunRecord:
+    """Read and validate one record file; RecordError names the path."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        return RunRecord.from_text(text)
+    except (RecordError, UnicodeDecodeError) as exc:
+        raise RecordError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +328,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> str:
     """
     os.makedirs(config.out_dir, exist_ok=True)
     manifest_path = os.path.join(config.out_dir, "manifest.txt")
-    fd, tmp = tempfile.mkstemp(dir=config.out_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write("\n".join(manifest_lines(config.problem_ids)) + "\n")
-    os.replace(tmp, manifest_path)
+    _write_atomic(manifest_path, "\n".join(manifest_lines(config.problem_ids)) + "\n")
 
     for pid in config.problem_ids:
         budget = config.budget_multiplier * pid.dim
@@ -276,7 +336,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> str:
             for seed in config.seeds:
                 problem = instantiate_problem(pid.pair_index, pid.dim, pid.instance)
                 record = run_optimizer(optimizer, problem, budget, seed, config.sigma)
-                assert problem.eval_count == budget
+                if problem.eval_count != budget:
+                    raise RuntimeError(
+                        f"{optimizer} made {problem.eval_count} evaluations on "
+                        f"{pid}, budget {budget}"
+                    )
                 write_record(record, config.out_dir)
                 if progress is not None:
                     progress(record)

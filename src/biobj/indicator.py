@@ -64,16 +64,13 @@ class Archive:
     """Non-dominated archive bound to one problem's ideal/nadir points.
 
     Entries are kept sorted by the first normalized objective ascending
-    (hence second objective strictly descending).  ``max_size``, if given,
-    caps the archive by dropping zero-contribution entries first, then the
-    smallest contributors.
+    (hence second objective strictly descending).
     """
 
-    def __init__(self, ideal, nadir, max_size: int | None = None):
+    def __init__(self, ideal, nadir):
         normalize(ideal, ideal=ideal, nadir=nadir)  # validates the pair
         self.ideal = (float(ideal[0]), float(ideal[1]))
         self.nadir = (float(nadir[0]), float(nadir[1]))
-        self.max_size = max_size
         self.entries: list[ArchiveEntry] = []
         self._keys: list[float] = []  # normalized first objectives
         self._hv = 0.0
@@ -129,9 +126,6 @@ class Archive:
         self.entries[i:j] = [entry]
         self._keys[i:j] = [a]
         self._hv += new - old
-
-        if self.max_size is not None and len(self.entries) > self.max_size:
-            self._evict()
         return True
 
     @staticmethod
@@ -144,41 +138,8 @@ class Archive:
         width = upper - a
         return width * (1.0 - b) if width > 0.0 else 0.0
 
-    def _evict(self) -> None:
-        """Drop lowest-contribution entries until within ``max_size``."""
-        while len(self.entries) > self.max_size:
-            contribs = [
-                self._contribution(
-                    e.normalized,
-                    self._keys[m + 1] if m + 1 < len(self.entries) else None,
-                )
-                for m, e in enumerate(self.entries)
-            ]
-            worst = int(np.argmin(contribs))
-            del self.entries[worst]
-            del self._keys[worst]
-        self._hv = self.recompute_hypervolume()
-
     def recompute_hypervolume(self) -> float:
         """From-scratch cross-check of the incremental hypervolume."""
         return hypervolume(
             [normalize(e.objectives, self.ideal, self.nadir) for e in self.entries]
         )
-
-    def dump_lines(self) -> list[str]:
-        """One line per entry: normalized pair, raw pair, decision vector."""
-        lines = []
-        for e in self.entries:
-            fields = [
-                repr(e.normalized[0]),
-                repr(e.normalized[1]),
-                repr(e.objectives[0]),
-                repr(e.objectives[1]),
-            ] + [repr(float(v)) for v in e.x]
-            lines.append(" ".join(fields))
-        return lines
-
-
-def normalized_hv(archive: Archive) -> float:
-    """Normalized hypervolume of an archive (reference point (1, 1))."""
-    return archive.hypervolume_value

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .harness import RecordError, read_record
+from .harness import RecordError, RunRecord, read_record
 from .suite import BASE_FUNCTION_NAMES, function_pair
 
 SUMMARY_HEADER = "group\tdim\toptimizer\tn_runs\tmedian_hv\tq1_hv\tq3_hv"
@@ -17,7 +17,7 @@ class EmptyResultsError(ValueError):
     """No readable record files were found in the results directory."""
 
 
-def load_records(results_dir: str, on_error=None) -> list[dict]:
+def load_records(results_dir: str, on_error=None) -> list[RunRecord]:
     """Read every ``*.rec`` file; bad files are reported and skipped."""
     if not os.path.isdir(results_dir):
         raise NotADirectoryError(f"{results_dir} is not a directory")
@@ -28,7 +28,7 @@ def load_records(results_dir: str, on_error=None) -> list[dict]:
         path = os.path.join(results_dir, name)
         try:
             records.append(read_record(path))
-        except (RecordError, OSError, ValueError) as exc:
+        except (RecordError, OSError) as exc:
             message = f"skipping {path}: {exc}"
             if on_error is not None:
                 on_error(message)
@@ -48,8 +48,8 @@ def summarize(results_dir: str, on_error=None) -> list[str]:
         raise EmptyResultsError(f"no readable records in {results_dir}")
     cells: dict[tuple[str, int, str], list[float]] = {}
     for rec in records:
-        key = (rec["group"], rec["dim"], rec["optimizer"])
-        cells.setdefault(key, []).append(rec["final_hv"])
+        key = (rec.group, rec.problem.dim, rec.optimizer)
+        cells.setdefault(key, []).append(rec.final_hv)
     lines = [SUMMARY_HEADER]
     for (group, dim, optimizer) in sorted(cells):
         values = np.array(cells[(group, dim, optimizer)])
@@ -79,21 +79,20 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
 
 
-def plot_front(record: dict, out_path: str) -> str:
+def plot_front(record: RunRecord, out_path: str) -> str:
     """Scatter the final archive in raw objective space as an SVG file.
 
     Ideal and nadir points are marked; axis labels carry the two base
     function names.  Output bytes are deterministic for a fixed record.
     """
-    rows = record["archive"]
-    if not rows:
+    if not record.archive:
         raise EmptyArchiveError("record has an empty archive; nothing to plot")
-    fa, fb = function_pair(record["pair_index"])
+    pid = record.problem
+    fa, fb = function_pair(pid.pair_index)
     name_a, name_b = BASE_FUNCTION_NAMES[fa], BASE_FUNCTION_NAMES[fb]
-    xs = [row[2] for row in rows]  # raw objective values
-    ys = [row[3] for row in rows]
-    ia, ib = record["ideal"]
-    na, nb = record["nadir"]
+    xs, ys = (list(v) for v in zip(*record.objectives))
+    ia, ib = record.ideal
+    na, nb = record.nadir
     lo_x, hi_x = min(xs + [ia, na]), max(xs + [ia, na])
     lo_y, hi_y = min(ys + [ib, nb]), max(ys + [ib, nb])
 
@@ -104,9 +103,9 @@ def plot_front(record: dict, out_path: str) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
-        f"<!-- problem: k={record['pair_index']} d={record['dim']} "
-        f"i={record['instance']} optimizer={record['optimizer']} "
-        f"seed={record['seed']} -->",
+        f"<!-- problem: k={pid.pair_index} d={pid.dim} "
+        f"i={pid.instance} optimizer={record.optimizer} "
+        f"seed={record.seed} -->",
         f"<!-- ideal: {ia!r} {ib!r} -->",
         f"<!-- nadir: {na!r} {nb!r} -->",
     ]
@@ -124,7 +123,7 @@ def plot_front(record: dict, out_path: str) -> str:
         f'class="axis-label" transform="rotate(-90 20 {_H // 2})">{name_b}</text>',
         f'<text x="{_W // 2}" y="28" text-anchor="middle" font-size="15">'
         f"{name_a} / {name_b} "
-        f"(d={record['dim']}, i={record['instance']})</text>",
+        f"(d={pid.dim}, i={pid.instance})</text>",
     ]
     for x, y in zip(px[:-2], py[:-2]):
         parts.append(

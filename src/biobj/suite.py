@@ -21,7 +21,6 @@ from .base_functions import (
     evaluate_base,
     instantiate_base,
 )
-from .constants import DOMAIN_OF_INTEREST, PENALTY_EDGE
 
 #: Standard suite dimensions.
 SUITE_DIMS = (2, 3, 5, 10, 20, 40)
@@ -200,32 +199,10 @@ class BiObjProblem:
         return (fa, fb)
 
 
-def region_of_interest(problem: BiObjProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Search box suggested to optimizers: [-100, 100]^D."""
-    d = problem.dim
-    return (-DOMAIN_OF_INTEREST * np.ones(d), DOMAIN_OF_INTEREST * np.ones(d))
-
-
-def suggested_inner_box(problem: BiObjProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Inner box [-5, 5]^D where most non-dominated solutions live."""
-    d = problem.dim
-    return (-PENALTY_EDGE * np.ones(d), PENALTY_EDGE * np.ones(d))
-
-
-def instantiate_problem(
-    pair_idx: int, dim: int, instance: int, non_standard_dims: bool = False
-) -> BiObjProblem:
-    """Build one suite problem; raises on invariant violations.
-
-    Dimensions outside the standard six require ``non_standard_dims=True``.
-    """
-    if dim not in SUITE_DIMS and not non_standard_dims:
-        raise ValueError(
-            f"dimension {dim} is not in {SUITE_DIMS}; "
-            "pass non_standard_dims=True to allow it"
-        )
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+def instantiate_problem(pair_idx: int, dim: int, instance: int) -> BiObjProblem:
+    """Build one suite problem; raises on invariant violations."""
+    if dim not in SUITE_DIMS:
+        raise ValueError(f"dimension {dim} is not in {SUITE_DIMS}")
     fa, fb = function_pair(pair_idx)
     k_alpha, k_beta = instance_map(instance)
     alpha = instantiate_base(fa, k_alpha, dim)
@@ -240,12 +217,11 @@ def instantiate_problem(
         raise SuiteConsistencyError(
             f"{pid}: ideal {ideal} does not strictly dominate nadir {nadir}"
         )
-    if dim in SUITE_DIMS:
-        if np.linalg.norm(alpha.x_opt - beta.x_opt) < MIN_X_OPT_DISTANCE:
-            raise SuiteConsistencyError(f"{pid}: extreme optima too close")
-        gap = np.hypot(nadir[0] - ideal[0], nadir[1] - ideal[1])
-        if gap < MIN_IDEAL_NADIR_DISTANCE:
-            raise SuiteConsistencyError(f"{pid}: ideal and nadir too close")
+    if np.linalg.norm(alpha.x_opt - beta.x_opt) < MIN_X_OPT_DISTANCE:
+        raise SuiteConsistencyError(f"{pid}: extreme optima too close")
+    gap = np.hypot(nadir[0] - ideal[0], nadir[1] - ideal[1])
+    if gap < MIN_IDEAL_NADIR_DISTANCE:
+        raise SuiteConsistencyError(f"{pid}: ideal and nadir too close")
     return BiObjProblem(pid, alpha, beta, ideal, nadir, group_of(pair_idx))
 
 

@@ -7,7 +7,6 @@ from biobj.base_functions import (
     BASE_FUNCTION_IDS,
     BASE_FUNCTION_NAMES,
     UnknownFunctionError,
-    describe_instance,
     evaluate_base,
     instantiate_base,
     properties_of,
@@ -32,7 +31,9 @@ class TestInstantiation:
         assert a.f_opt == b.f_opt
         for ra, rb in zip(a.rotations, b.rotations):
             assert np.array_equal(ra, rb)
-        assert describe_instance(a) == describe_instance(b)
+        assert a.aux.keys() == b.aux.keys()
+        for key in a.aux:
+            assert np.array_equal(a.aux[key], b.aux[key])
 
     @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
     def test_x_opt_in_inner_box(self, fn):
@@ -182,12 +183,3 @@ class TestProperties:
     def test_names(self):
         assert BASE_FUNCTION_NAMES[1] == "Sphere"
         assert BASE_FUNCTION_NAMES[21] == "Gallagher 101 peaks"
-
-
-class TestDebugDump:
-    def test_manifest_fields(self):
-        text = describe_instance(instantiate_base(17, 3, 4))
-        assert "function: 17 (Schaffer F7, condition 10)" in text
-        assert "rotation_0_sha256: " in text
-        assert "rotation_1_sha256: " in text
-        assert "x_opt: " in text

@@ -1,13 +1,12 @@
 import os
 
-import numpy as np
 import pytest
 
+from biobj import harness
 from biobj.cli import main
 from biobj.harness import (
     ExperimentConfig,
     RecordError,
-    format_record,
     read_record,
     run_archive_evolver,
     run_experiment,
@@ -33,7 +32,7 @@ class TestRandomSearch:
         a = run_random_search(sphere_problem(), 200, 7)
         b = run_random_search(sphere_problem(), 200, 7)
         assert a.trace == b.trace
-        assert format_record(a) == format_record(b)
+        assert a.to_text() == b.to_text()
 
     def test_budget_accounting(self):
         p = sphere_problem()
@@ -60,7 +59,7 @@ class TestArchiveEvolver:
     def test_deterministic(self):
         a = run_archive_evolver(sphere_problem(), 300, 2, 0.5)
         b = run_archive_evolver(sphere_problem(), 300, 2, 0.5)
-        assert format_record(a) == format_record(b)
+        assert a.to_text() == b.to_text()
 
     def test_multimodal_pair_contract(self):
         record = run_archive_evolver(instantiate_problem(55, 5, 1), 400, 1)
@@ -78,17 +77,18 @@ class TestRecordIO:
         record = run_random_search(sphere_problem(3, 2), 150, 4)
         path = write_record(record, str(tmp_path))
         loaded = read_record(path)
-        assert loaded["pair_index"] == 1
-        assert loaded["dim"] == 3
-        assert loaded["instance"] == 2
-        assert loaded["optimizer"] == "random-search"
-        assert loaded["seed"] == 4
-        assert loaded["budget"] == 150
-        assert loaded["trace"] == record.trace
-        assert loaded["final_hv"] == record.final_hv
-        assert len(loaded["archive"]) == len(record.archive)
+        assert loaded == record
+        assert (loaded.problem.pair_index, loaded.problem.dim) == (1, 3)
+        assert (loaded.problem.instance, loaded.seed, loaded.budget) == (2, 4, 150)
+        assert loaded.optimizer == "random-search"
+        assert loaded.final_hv == record.final_hv
         # column order: normalized pair, raw pair, decision vector
-        assert len(loaded["archive"][0]) == 2 + 2 + 3
+        assert len(loaded.archive[0]) == 2 + 2 + 3
+
+    def test_evolver_sigma_roundtrip(self, tmp_path):
+        record = run_archive_evolver(sphere_problem(), 50, 1, 0.25)
+        assert "sigma: 0.25\n" in record.to_text()
+        assert read_record(write_record(record, str(tmp_path))).sigma == 0.25
 
     def test_monotonicity_checked_on_load(self, tmp_path):
         record = run_random_search(sphere_problem(), 50, 1)
@@ -104,6 +104,36 @@ class TestRecordIO:
         bad.write_text("pair_index: 1\ntrace:\narchive:\n")
         with pytest.raises(RecordError):
             read_record(str(bad))
+
+    def test_non_positive_dim_rejected(self, tmp_path):
+        text = run_random_search(sphere_problem(), 20, 1).to_text()
+        head, _, _ = text.partition("archive:\n")
+        bad = tmp_path / "bad.rec"
+        # With dim -3 a one-value row would have the expected width 4 + D.
+        bad.write_text(head.replace("dim: 2", "dim: -3") + "archive:\n0.5\n")
+        with pytest.raises(RecordError, match="dim"):
+            read_record(str(bad))
+
+    def test_archive_row_width_checked(self, tmp_path):
+        text = run_random_search(sphere_problem(), 20, 1).to_text()
+        bad = tmp_path / "bad.rec"
+        bad.write_text(text + "0.5 0.5 1.0 1.0 0.0\n")  # D=2 needs 6 values
+        with pytest.raises(RecordError, match="bad.rec"):
+            read_record(str(bad))
+
+    def test_file_modes_follow_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            out = run_experiment(ExperimentConfig(
+                out_dir=str(tmp_path / "res"), functions=(1,), dims=(2,),
+                instances=(1,), seeds=(1,), budget_multiplier=5,
+            ))
+        finally:
+            os.umask(old)
+        names = sorted(os.listdir(out))
+        assert names == ["k01_d02_i01_random-search_s001.rec", "manifest.txt"]
+        for name in names:
+            assert os.stat(os.path.join(out, name)).st_mode & 0o777 == 0o640
 
 
 class TestExperiment:
@@ -148,6 +178,19 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(out_dir=str(tmp_path), optimizers=("cmaes",))
 
+    def test_under_evaluating_optimizer_raises(self, tmp_path, monkeypatch):
+        def short_run(name, problem, budget, seed, sigma):
+            return run_random_search(problem, budget - 1, seed)
+
+        monkeypatch.setattr(harness, "run_optimizer", short_run)
+        config = ExperimentConfig(
+            out_dir=str(tmp_path / "res"), functions=(1,), dims=(2,),
+            instances=(1,), seeds=(1,), budget_multiplier=5,
+        )
+        # A checked error, not an assert, so it also fires under python -O.
+        with pytest.raises(RuntimeError, match="made 9 evaluations"):
+            run_experiment(config)
+
 
 class TestSummarize:
     def make_results(self, tmp_path, **overrides):
@@ -182,7 +225,7 @@ class TestSummarize:
         record = load_records(out)[0]
         line = summarize(out)[1]
         assert float(line.split("\t")[4]) == pytest.approx(
-            record["final_hv"], abs=1e-6
+            record.final_hv, abs=1e-6
         )
 
     def test_empty_directory(self, tmp_path):
@@ -274,6 +317,27 @@ class TestCli:
 
     def test_plot_missing_record_exit_code(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope.rec"), "--out", "x.svg"]) == 2
+
+    def test_record_without_ideal_line_is_a_data_error(self, tmp_path, capsys):
+        out = str(tmp_path / "res")
+        assert main(
+            ["run", "--functions", "1", "--dims", "2", "--instances", "1",
+             "--budget-mult", "10", "--seeds", "1,2", "--out", out]
+        ) == 0
+        rec = os.path.join(out, "k01_d02_i01_random-search_s001.rec")
+        lines = open(rec).read().splitlines(keepends=True)
+        with open(rec, "w") as fh:
+            fh.writelines(ln for ln in lines if not ln.startswith("ideal:"))
+        capsys.readouterr()
+
+        assert main(["summarize", out]) == 0
+        captured = capsys.readouterr()
+        assert f"skipping {rec}: " in captured.err
+        assert "missing header field 'ideal'" in captured.err
+        assert captured.out.splitlines()[1].split("\t")[3] == "1"
+
+        assert main(["plot", rec, "--out", str(tmp_path / "front.svg")]) == 2
+        assert "missing header field 'ideal'" in capsys.readouterr().err
 
     def test_seed_range_syntax(self, tmp_path):
         out = str(tmp_path / "res")

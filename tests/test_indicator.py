@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from biobj.indicator import (
-    Archive,
-    dominates,
-    hypervolume,
-    normalize,
-    normalized_hv,
-)
+from biobj.indicator import Archive, dominates, hypervolume, normalize
 
 
 class TestDominates:
@@ -113,8 +107,8 @@ class TestHypervolume:
 
 
 class TestArchive:
-    def unit_archive(self, **kw):
-        return Archive((0.0, 0.0), (1.0, 1.0), **kw)
+    def unit_archive(self):
+        return Archive((0.0, 0.0), (1.0, 1.0))
 
     def test_insert_into_empty(self):
         arch = self.unit_archive()
@@ -152,7 +146,6 @@ class TestArchive:
             assert arch.insert([0.0], y) is True
         assert len(arch) == 3
         assert arch.hypervolume_value == pytest.approx(0.52, abs=1e-12)
-        assert normalized_hv(arch) == arch.hypervolume_value
 
     def test_extreme_point_contributes_zero(self):
         arch = self.unit_archive()
@@ -199,23 +192,7 @@ class TestArchive:
         arch.insert([0.0], (15.0, 3.0))  # midpoint -> (0.5, 0.5)
         assert arch.hypervolume_value == pytest.approx(0.25)
 
-    def test_size_cap_drops_zero_contributors_first(self):
-        arch = self.unit_archive(max_size=3)
-        arch.insert([0.0], (0.0, 1.5))  # zero contribution (b beyond ref)
-        arch.insert([0.0], (0.2, 0.6))
-        arch.insert([0.0], (0.4, 0.4))
-        arch.insert([0.0], (0.6, 0.2))
-        assert len(arch) == 3
-        assert (0.0, 1.5) not in [e.objectives for e in arch.entries]
-        assert abs(arch.hypervolume_value - arch.recompute_hypervolume()) < 1e-12
-
     def test_rejects_non_finite(self):
         arch = self.unit_archive()
         with pytest.raises(ValueError):
             arch.insert([0.0], (float("nan"), 0.5))
-
-    def test_dump_column_order(self):
-        arch = Archive((0.0, 0.0), (2.0, 2.0))
-        arch.insert([1.5, -2.5], (1.0, 1.0))
-        fields = arch.dump_lines()[0].split()
-        assert [float(f) for f in fields] == [0.5, 0.5, 1.0, 1.0, 1.5, -2.5]

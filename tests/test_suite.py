@@ -16,8 +16,6 @@ from biobj.suite import (
     manifest_lines,
     pair_index,
     pair_name,
-    region_of_interest,
-    suggested_inner_box,
     unpair,
 )
 from biobj._instance_pairs import INSTANCE_PAIRS
@@ -233,19 +231,6 @@ class TestProblems:
     def test_non_standard_dim_gate(self):
         with pytest.raises(ValueError):
             instantiate_problem(1, 4, 1)
-        p = instantiate_problem(1, 4, 1, non_standard_dims=True)
-        assert p.dim == 4
-
-    def test_region_of_interest(self):
-        p = instantiate_problem(1, 2, 1)
-        lo, hi = region_of_interest(p)
-        assert np.array_equal(lo, [-100.0, -100.0])
-        assert np.array_equal(hi, [100.0, 100.0])
-        lo, hi = suggested_inner_box(instantiate_problem(1, 3, 1))
-        assert np.array_equal(lo, [-5.0] * 3)
-        assert np.array_equal(hi, [5.0] * 3)
-        assert np.all(np.abs(p.alpha.x_opt) <= 5.0)
-        assert np.all(np.abs(p.beta.x_opt) <= 5.0)
 
 
 class TestManifest:
