@@ -96,7 +96,6 @@ class BaseInstance:
     dim: int
     x_opt: np.ndarray
     f_opt: float
-    rotations: tuple[np.ndarray, ...]
     aux: dict
 
 
@@ -146,30 +145,25 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
     seed_q = derive_seed(fn, instance_id, dim, _TAG_ROT_Q)
     lam10 = diagonal_scaling(10.0, dim)
 
-    rotations: tuple[np.ndarray, ...] = ()
     aux: dict = {}
 
     if fn in (6, 13):
         r = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
-        rotations = (r, q)
         aux["outer"] = q @ (lam10[:, None] * r)  # Q diag(lam) R
     elif fn == 14:
-        r = random_rotation(seed_r, dim)
-        rotations = (r,)
+        aux["rot"] = random_rotation(seed_r, dim)
         if dim == 1:
             aux["exponents"] = np.array([2.0])
         else:
             aux["exponents"] = 2.0 + 4.0 * np.arange(dim) / (dim - 1)
     elif fn == 15:
-        r = random_rotation(seed_r, dim)
+        aux["rot"] = r = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
-        rotations = (r, q)
         aux["outer"] = r @ (lam10[:, None] * q)  # R diag(lam) Q
     elif fn == 17:
-        r = random_rotation(seed_r, dim)
+        aux["rot"] = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
-        rotations = (r, q)
         aux["outer"] = lam10[:, None] * q  # diag(lam) Q
     elif fn == 2:
         if dim == 1:
@@ -182,12 +176,10 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         aux["lam"] = lam10
         aux["x_opt_abs"] = 2.0 * np.abs(x_opt)  # 4.2096874633 per coordinate
     elif fn == 21:
-        r = random_rotation(seed_r, dim)
-        rotations = (r,)
         aux.update(_gallagher_layout(instance_id, dim, x_opt))
-        aux["rot"] = r
+        aux["rot"] = random_rotation(seed_r, dim)
 
-    inst = BaseInstance(fn, instance_id, dim, x_opt, f_opt, rotations, aux)
+    inst = BaseInstance(fn, instance_id, dim, x_opt, f_opt, aux)
     inst.x_opt.setflags(write=False)
     return inst
 
@@ -271,12 +263,12 @@ def _eval_sharp_ridge(inst: BaseInstance, x: np.ndarray) -> float:
 
 
 def _eval_different_powers(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.rotations[0] @ (x - inst.x_opt)
+    z = inst.aux["rot"] @ (x - inst.x_opt)
     return float(math.sqrt(np.sum(np.abs(z) ** inst.aux["exponents"])))
 
 
 def _eval_rastrigin(inst: BaseInstance, x: np.ndarray) -> float:
-    y = t_asy(t_osz(inst.rotations[0] @ (x - inst.x_opt)), 0.2)
+    y = t_asy(t_osz(inst.aux["rot"] @ (x - inst.x_opt)), 0.2)
     z = inst.aux["outer"] @ y
     return float(
         10.0 * (inst.dim - np.sum(np.cos(2.0 * np.pi * z))) + z @ z
@@ -284,7 +276,7 @@ def _eval_rastrigin(inst: BaseInstance, x: np.ndarray) -> float:
 
 
 def _eval_schaffer(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["outer"] @ t_asy(inst.rotations[0] @ (x - inst.x_opt), 0.5)
+    z = inst.aux["outer"] @ t_asy(inst.aux["rot"] @ (x - inst.x_opt), 0.5)
     s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
     rs = np.sqrt(s)
     core = np.mean(rs + rs * np.sin(50.0 * s**0.2) ** 2)

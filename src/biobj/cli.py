@@ -8,7 +8,6 @@ Subcommands: ``suite list``, ``suite manifest``, ``suite regen-instances``,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness, report, suite
@@ -126,11 +125,7 @@ def _cmd_run(args) -> int:
         budget_multiplier=args.budget_mult,
         sigma=args.sigma,
     )
-    try:
-        harness.run_experiment(config)
-    except OSError as exc:
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    harness.run_experiment(config)
     return EXIT_OK
 
 
@@ -141,17 +136,11 @@ def _cmd_summarize(args) -> int:
         print(exc, file=sys.stderr)
         _emit([report.SUMMARY_HEADER], args.out)
         return EXIT_DATA
-    except (NotADirectoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def _cmd_plot(args) -> int:
-    if not os.path.isfile(args.record):
-        print(f"error: no such record file: {args.record}", file=sys.stderr)
-        return EXIT_DATA
     try:
         record = harness.read_record(args.record)
         report.plot_front(record, args.out)
@@ -179,6 +168,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # unreadable input or unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PENALTY_EDGE
-from .indicator import Archive
+from .indicator import Archive, hypervolume
 from .suite import (
     BiObjProblem,
     ProblemId,
@@ -31,7 +31,7 @@ OPTIMIZERS = ("random-search", "archive-evolver")
 
 
 class RecordError(ValueError):
-    """A record's text is malformed or violates the trace invariants."""
+    """A record's text is malformed or violates the trace or archive invariants."""
 
 
 #: Required header keys, in file order; an optional ``sigma`` may follow.
@@ -148,6 +148,12 @@ class RunRecord:
                 raise RecordError(
                     f"archive row has {len(row)} values, expected {width}"
                 )
+        for prev, cur in zip(record.archive, record.archive[1:]):
+            if not (cur[0] > prev[0] and cur[1] < prev[1]):
+                raise RecordError("archive rows are not mutually non-dominated")
+        hv = hypervolume(row[:2] for row in record.archive)
+        if not abs(hv - record.final_hv) <= 1e-12:
+            raise RecordError(f"final hypervolume {record.final_hv!r} != {hv!r}")
         return record
 
 
@@ -311,6 +317,10 @@ class ExperimentConfig:
             raise ValueError("budget multiplier must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if not (self.sigma > 0 and np.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         for name in self.optimizers:
             if name not in OPTIMIZERS:
                 raise ValueError(f"unknown optimizer {name!r}")

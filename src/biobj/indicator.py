@@ -36,19 +36,18 @@ def normalize(y, ideal, nadir) -> tuple[float, float]:
     return ((y[0] - ia) / (na - ia), (y[1] - ib) / (nb - ib))
 
 
-def hypervolume(points, ref=(1.0, 1.0)) -> float:
-    """Exact 2-D hypervolume of ``points`` bounded by ``ref``.
+def hypervolume(points) -> float:
+    """Exact 2-D hypervolume of normalized ``points``, reference point (1, 1).
 
-    Order-independent sweep; points not strictly dominating ``ref``
+    Order-independent sweep; points not strictly dominating (1, 1)
     contribute nothing, dominated points are absorbed by the sweep.
     """
-    ra, rb = ref
-    pts = sorted((a, b) for a, b in points if a < ra and b < rb)
+    pts = sorted((a, b) for a, b in points if a < 1.0 and b < 1.0)
     hv = 0.0
-    cur_b = rb
+    cur_b = 1.0
     for a, b in pts:
         if b < cur_b:
-            hv += (ra - a) * (cur_b - b)
+            hv += (1.0 - a) * (cur_b - b)
             cur_b = b
     return hv
 

@@ -102,19 +102,13 @@ def all_groups() -> list[str]:
 
 
 def _pair_is_valid(k_alpha: int, k_beta: int) -> bool:
-    """Check both validity conditions over all 55 pairs and all 6 dims."""
-    for dim in SUITE_DIMS:
-        for k in range(1, N_PAIRS + 1):
-            fa, fb = function_pair(k)
-            alpha = instantiate_base(fa, k_alpha, dim)
-            beta = instantiate_base(fb, k_beta, dim)
-            if np.linalg.norm(alpha.x_opt - beta.x_opt) < MIN_X_OPT_DISTANCE:
-                return False
-            nadir_a = evaluate_base(alpha, beta.x_opt)
-            nadir_b = evaluate_base(beta, alpha.x_opt)
-            gap = np.hypot(nadir_a - alpha.f_opt, nadir_b - beta.f_opt)
-            if gap < MIN_IDEAL_NADIR_DISTANCE:
-                return False
+    """True iff every pair in every suite dimension builds with these ids."""
+    try:
+        for dim in SUITE_DIMS:
+            for k in range(1, N_PAIRS + 1):
+                _build(k, dim, k_alpha, k_beta)
+    except SuiteConsistencyError:
+        return False
     return True
 
 
@@ -123,7 +117,7 @@ def compute_instance_pair(biobj_instance: int) -> tuple[int, int]:
 
     Ids 1 and 2 are the fixed historical exceptions (2, 4) and (3, 5).
     Otherwise the candidate (2K+1, 2K+2) is used, incrementing the second
-    id until both validity conditions hold for every pair and dimension.
+    id until the validity conditions hold for every pair and dimension.
     """
     if biobj_instance < 1:
         raise ValueError(f"instance id must be >= 1, got {biobj_instance}")
@@ -180,7 +174,6 @@ class BiObjProblem:
     beta: BaseInstance
     ideal: tuple[float, float]
     nadir: tuple[float, float]
-    group: str
     eval_count: int = field(default=0)
 
     @property
@@ -188,8 +181,8 @@ class BiObjProblem:
         return self.id.dim
 
     @property
-    def name(self) -> str:
-        return pair_name(self.id.pair_index)
+    def group(self) -> str:
+        return group_of(self.id.pair_index)
 
     def evaluate(self, x) -> tuple[float, float]:
         """Both objective values at ``x``; counts one evaluation."""
@@ -199,30 +192,38 @@ class BiObjProblem:
         return (fa, fb)
 
 
-def instantiate_problem(pair_idx: int, dim: int, instance: int) -> BiObjProblem:
-    """Build one suite problem; raises on invariant violations."""
-    if dim not in SUITE_DIMS:
-        raise ValueError(f"dimension {dim} is not in {SUITE_DIMS}")
+def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):
+    """Base instances, ideal and nadir of one problem; checks the conditions.
+
+    Raises SuiteConsistencyError unless the optima are apart in search space
+    and the ideal strictly dominates, and is apart from, the nadir.
+    """
     fa, fb = function_pair(pair_idx)
-    k_alpha, k_beta = instance_map(instance)
     alpha = instantiate_base(fa, k_alpha, dim)
     beta = instantiate_base(fb, k_beta, dim)
+    where = f"pair {pair_idx}, dim {dim}, instances ({k_alpha}, {k_beta})"
+    if np.linalg.norm(alpha.x_opt - beta.x_opt) < MIN_X_OPT_DISTANCE:
+        raise SuiteConsistencyError(f"{where}: extreme optima too close")
 
     ideal = (alpha.f_opt, beta.f_opt)
     # Cross-evaluation formula; valid because every base optimum is unique.
     nadir = (evaluate_base(alpha, beta.x_opt), evaluate_base(beta, alpha.x_opt))
-
-    pid = ProblemId(pair_idx, dim, instance)
     if not (ideal[0] < nadir[0] and ideal[1] < nadir[1]):
         raise SuiteConsistencyError(
-            f"{pid}: ideal {ideal} does not strictly dominate nadir {nadir}"
+            f"{where}: ideal {ideal} does not strictly dominate nadir {nadir}"
         )
-    if np.linalg.norm(alpha.x_opt - beta.x_opt) < MIN_X_OPT_DISTANCE:
-        raise SuiteConsistencyError(f"{pid}: extreme optima too close")
     gap = np.hypot(nadir[0] - ideal[0], nadir[1] - ideal[1])
     if gap < MIN_IDEAL_NADIR_DISTANCE:
-        raise SuiteConsistencyError(f"{pid}: ideal and nadir too close")
-    return BiObjProblem(pid, alpha, beta, ideal, nadir, group_of(pair_idx))
+        raise SuiteConsistencyError(f"{where}: ideal and nadir too close")
+    return alpha, beta, ideal, nadir
+
+
+def instantiate_problem(pair_idx: int, dim: int, instance: int) -> BiObjProblem:
+    """Build one suite problem; raises on invariant violations."""
+    if dim not in SUITE_DIMS:
+        raise ValueError(f"dimension {dim} is not in {SUITE_DIMS}")
+    parts = _build(pair_idx, dim, *instance_map(instance))
+    return BiObjProblem(ProblemId(pair_idx, dim, instance), *parts)
 
 
 def enumerate_suite(
@@ -270,9 +271,9 @@ def manifest_lines(ids) -> list[str]:
     lines = [MANIFEST_HEADER]
     for pid in ids:
         p = instantiate_problem(pid.pair_index, pid.dim, pid.instance)
-        k_alpha, k_beta = instance_map(pid.instance)
         lines.append(
-            f"{pid.pair_index} {pid.dim} {pid.instance} {k_alpha} {k_beta} "
+            f"{pid.pair_index} {pid.dim} {pid.instance} "
+            f"{p.alpha.instance_id} {p.beta.instance_id} "
             f"{p.ideal[0]!r} {p.ideal[1]!r} {p.nadir[0]!r} {p.nadir[1]!r} "
             f"{_xopt_checksum(p.alpha)} {_xopt_checksum(p.beta)} {p.group}"
         )

@@ -7,6 +7,7 @@ from biobj.cli import main
 from biobj.harness import (
     ExperimentConfig,
     RecordError,
+    RunRecord,
     read_record,
     run_archive_evolver,
     run_experiment,
@@ -120,6 +121,20 @@ class TestRecordIO:
         bad.write_text(text + "0.5 0.5 1.0 1.0 0.0\n")  # D=2 needs 6 values
         with pytest.raises(RecordError, match="bad.rec"):
             read_record(str(bad))
+
+    def test_archive_order_checked_on_load(self):
+        record = run_random_search(sphere_problem(), 200, 1)
+        assert len(record.archive) >= 2
+        record.archive[0], record.archive[1] = record.archive[1], record.archive[0]
+        with pytest.raises(RecordError, match="non-dominated"):
+            RunRecord.from_text(record.to_text())
+
+    def test_final_hv_checked_against_archive(self):
+        record = run_random_search(sphere_problem(), 200, 1)
+        i, hv = record.trace[-1]
+        record.trace[-1] = (i, hv + 1e-9)  # still monotone
+        with pytest.raises(RecordError, match="final hypervolume"):
+            RunRecord.from_text(record.to_text())
 
     def test_file_modes_follow_umask(self, tmp_path):
         old = os.umask(0o027)
@@ -338,6 +353,38 @@ class TestCli:
 
         assert main(["plot", rec, "--out", str(tmp_path / "front.svg")]) == 2
         assert "missing header field 'ideal'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--sigma", "0"], ["--seeds=-1"]])
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, bad):
+        out = tmp_path / "res"
+        code = main(
+            ["run", "--functions", "1", "--dims", "2", "--instances", "1",
+             "--optimizer", "random-search", "--optimizer", "archive-evolver",
+             "--budget-mult", "5", *bad, "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["summarize", "RES"], ["plot", "REC"],
+         ["suite", "list", "--functions", "1"],
+         ["suite", "manifest", "--functions", "1", "--dims", "2"]],
+        ids=["summarize", "plot", "suite-list", "suite-manifest"],
+    )
+    def test_out_into_missing_directory_is_a_data_error(self, tmp_path, capsys, argv):
+        res = run_experiment(ExperimentConfig(
+            out_dir=str(tmp_path / "res"), functions=(1,), dims=(2,),
+            instances=(1,), seeds=(1,), budget_multiplier=5,
+        ))
+        rec = os.path.join(res, "k01_d02_i01_random-search_s001.rec")
+        target = tmp_path / "missing" / "x.out"
+        argv = [{"RES": res, "REC": rec}.get(a, a) for a in argv]
+        assert main([*argv, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_seed_range_syntax(self, tmp_path):
         out = str(tmp_path / "res")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from biobj import suite
 from biobj.suite import (
     MANIFEST_HEADER,
     N_PAIRS,
     SUITE_DIMS,
     SuiteConsistencyError,
+    _build,
+    _pair_is_valid,
     all_groups,
     compute_instance_pair,
     enumerate_suite,
@@ -231,6 +234,19 @@ class TestProblems:
     def test_non_standard_dim_gate(self):
         with pytest.raises(ValueError):
             instantiate_problem(1, 4, 1)
+
+    def test_coincident_optima_rejected(self):
+        # sphere/sphere with one instance id for both objectives
+        with pytest.raises(SuiteConsistencyError, match="optima too close"):
+            _build(1, 2, 7, 7)
+        assert not _pair_is_valid(7, 7)
+
+    def test_validity_loop_requires_strict_dominance(self, monkeypatch):
+        # A nadir one unit below the ideal is far from it but not dominated.
+        monkeypatch.setattr(suite, "evaluate_base", lambda inst, x: inst.f_opt - 1.0)
+        with pytest.raises(SuiteConsistencyError, match="strictly dominate"):
+            instantiate_problem(1, 2, 1)
+        assert not _pair_is_valid(2, 4)
 
 
 class TestManifest:
