@@ -134,8 +134,8 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
     immutable, so sharing the cached object is safe).
     """
     _check_fn(fn)
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     if instance_id < 1:
         raise ValueError(f"instance id must be >= 1, got {instance_id}")
 
@@ -153,10 +153,7 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         aux["outer"] = q @ (lam10[:, None] * r)  # Q diag(lam) R
     elif fn == 14:
         aux["rot"] = random_rotation(seed_r, dim)
-        if dim == 1:
-            aux["exponents"] = np.array([2.0])
-        else:
-            aux["exponents"] = 2.0 + 4.0 * np.arange(dim) / (dim - 1)
+        aux["exponents"] = 2.0 + 4.0 * np.arange(dim) / (dim - 1)
     elif fn == 15:
         aux["rot"] = r = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
@@ -166,10 +163,7 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         q = random_rotation(seed_q, dim)
         aux["outer"] = lam10[:, None] * q  # diag(lam) Q
     elif fn == 2:
-        if dim == 1:
-            aux["weights"] = np.ones(1)
-        else:
-            aux["weights"] = 10.0 ** (6.0 * np.arange(dim) / (dim - 1))
+        aux["weights"] = 10.0 ** (6.0 * np.arange(dim) / (dim - 1))
     elif fn == 8:
         aux["scale"] = max(1.0, math.sqrt(dim) / 8.0)
     elif fn == 20:
@@ -211,10 +205,7 @@ def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:
     alphas[1:] = schedule[order]
 
     # Diagonal quadratic-form coefficients with ratio alpha, geometric mean 1.
-    if dim == 1:
-        frac = np.zeros(1)
-    else:
-        frac = np.arange(dim) / (dim - 1)
+    frac = np.arange(dim) / (dim - 1)
     coeffs = alphas[:, None] ** (frac[None, :] - 0.5)
     return {"centers": centers, "heights": heights, "coeffs": coeffs}
 

@@ -19,6 +19,7 @@ from .suite import (
     BiObjProblem,
     ProblemId,
     enumerate_suite,
+    group_of,
     instantiate_problem,
     manifest_lines,
 )
@@ -115,8 +116,14 @@ class RunRecord:
         problem = ProblemId(
             *(_parse(int, header[k], k) for k in ("pair_index", "dim", "instance"))
         )
-        if problem.dim < 1:
-            raise RecordError(f"malformed dim: {problem.dim}")
+        try:  # the header must name a suite problem
+            enumerate_suite([problem.pair_index], [problem.dim], [problem.instance])
+        except ValueError as exc:
+            raise RecordError(str(exc)) from None
+        if header["group"] != group_of(problem.pair_index):
+            raise RecordError(
+                f"group {header['group']!r} is not that of pair {problem.pair_index}"
+            )
         record = cls(
             problem=problem,
             optimizer=header["optimizer"],

@@ -71,7 +71,6 @@ class Archive:
         self.ideal = (float(ideal[0]), float(ideal[1]))
         self.nadir = (float(nadir[0]), float(nadir[1]))
         self.entries: list[ArchiveEntry] = []
-        self._keys: list[float] = []  # normalized first objectives
         self._hv = 0.0
 
     def __len__(self) -> int:
@@ -89,14 +88,14 @@ class Archive:
             raise ValueError(f"objective values must be finite, got {y!r}")
         a, b = normalize(y, self.ideal, self.nadir)
 
-        i = bisect_left(self._keys, a)
+        i = bisect_left(self.entries, a, key=lambda e: e.normalized[0])
         # Dominated (or duplicate) iff some entry with a' <= a has b' <= b;
         # with b descending it suffices to look at positions i-1 and i.
         if i > 0 and self.entries[i - 1].normalized[1] <= b:
             return False
         if (
             i < len(self.entries)
-            and self._keys[i] == a
+            and self.entries[i].normalized[0] == a
             and self.entries[i].normalized[1] <= b
         ):
             return False
@@ -107,15 +106,13 @@ class Archive:
             j += 1
 
         left = self.entries[i - 1].normalized if i > 0 else None
-        right_key = self._keys[j] if j < len(self.entries) else None
+        right_key = self._key(j)
 
         old = 0.0
         if left is not None:
-            next_key = self._keys[i] if i < len(self.entries) else None
-            old += self._contribution(left, next_key)
+            old += self._contribution(left, self._key(i))
         for m in range(i, j):
-            next_key = self._keys[m + 1] if m + 1 < len(self.entries) else None
-            old += self._contribution(self.entries[m].normalized, next_key)
+            old += self._contribution(self.entries[m].normalized, self._key(m + 1))
 
         new = self._contribution((a, b), right_key)
         if left is not None:
@@ -123,9 +120,12 @@ class Archive:
 
         entry = ArchiveEntry(np.array(x, dtype=float), y, (a, b))
         self.entries[i:j] = [entry]
-        self._keys[i:j] = [a]
         self._hv += new - old
         return True
+
+    def _key(self, m: int) -> float | None:
+        """First normalized objective of entry ``m``; None past the end."""
+        return self.entries[m].normalized[0] if m < len(self.entries) else None
 
     @staticmethod
     def _contribution(point, next_key) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,12 +113,14 @@ def _pair_is_valid(k_alpha: int, k_beta: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def compute_instance_pair(biobj_instance: int) -> tuple[int, int]:
     """Derive the single-objective instance ids for one bi-objective id.
 
     Ids 1 and 2 are the fixed historical exceptions (2, 4) and (3, 5).
     Otherwise the candidate (2K+1, 2K+2) is used, incrementing the second
     id until the validity conditions hold for every pair and dimension.
+    The result is cached: each id's validity loop runs once per process.
     """
     if biobj_instance < 1:
         raise ValueError(f"instance id must be >= 1, got {biobj_instance}")

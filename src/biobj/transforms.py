@@ -72,8 +72,6 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")
-    if n == 0:
-        return np.empty(0)
     pairs = (n + 1) // 2
     u = uniform_stream(seed, 2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1 - u in (0, 1]
@@ -116,15 +114,12 @@ def _gram_schmidt_rows(a: np.ndarray) -> bool:
 def diagonal_scaling(alpha: float, dim: int) -> np.ndarray:
     """Entries of the conditioning matrix: alpha**((i-1) / (2 (D-1))).
 
-    The squared ratio of the last to the first entry equals ``alpha``.  For
-    D = 1 the exponent fraction is taken as 0, so the single entry is 1.
+    The squared ratio of the last to the first entry equals ``alpha``.
     """
     if alpha <= 0:
         raise ValueError(f"condition parameter must be positive, got {alpha}")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if dim == 1:
-        return np.ones(1)
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     exponents = np.arange(dim) / (2.0 * (dim - 1))
     return alpha**exponents
 
@@ -138,32 +133,28 @@ def t_osz(v) -> np.ndarray | float:
     to 0.  Scalar input returns a float.
     """
     x = np.asarray(v, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    nz = x != 0.0
-    xn = x[nz]
-    xh = np.log(np.abs(xn))
-    c1 = np.where(xn > 0, OSC_COEFFS_POSITIVE[0], OSC_COEFFS_NEGATIVE[0])
-    c2 = np.where(xn > 0, OSC_COEFFS_POSITIVE[1], OSC_COEFFS_NEGATIVE[1])
-    out[nz] = np.sign(xn) * np.exp(
+    xh = np.log(np.abs(x), out=np.zeros_like(x), where=x != 0.0)
+    pos = x > 0
+    c1 = np.where(pos, OSC_COEFFS_POSITIVE[0], OSC_COEFFS_NEGATIVE[0])
+    c2 = np.where(pos, OSC_COEFFS_POSITIVE[1], OSC_COEFFS_NEGATIVE[1])
+    out = np.sign(x) * np.exp(
         xh + OSC_AMPLITUDE * (np.sin(c1 * xh) + np.sin(c2 * xh))
     )
-    return float(out[0]) if scalar else out
+    return float(out) if x.ndim == 0 else out
 
 
 def t_asy(v, beta: float) -> np.ndarray:
     """Asymmetry operator.
 
     Positive coordinates are raised to 1 + beta * ((i-1)/(D-1)) * sqrt(x_i);
-    non-positive coordinates pass through unchanged.  For D = 1 the index
-    fraction is 0.
+    non-positive coordinates pass through unchanged.  Needs D >= 2.
     """
     if beta < 0:
         raise ValueError(f"asymmetry parameter must be >= 0, got {beta}")
-    x = np.atleast_1d(np.asarray(v, dtype=float))
-    d = x.shape[0]
-    frac = np.zeros(d) if d == 1 else np.arange(d) / (d - 1)
+    x = np.asarray(v, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError(f"need a vector of >= 2 coordinates, got shape {x.shape}")
+    frac = np.arange(len(x)) / (len(x) - 1)
     out = x.copy()
     pos = x > 0
     out[pos] = x[pos] ** (1.0 + beta * frac[pos] * np.sqrt(x[pos]))

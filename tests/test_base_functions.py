@@ -24,6 +24,12 @@ class TestInstantiation:
         with pytest.raises(ValueError):
             instantiate_base(1, 1, 0)
 
+    @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
+    def test_rejects_dim_one(self, fn):
+        # the suite starts at D = 2
+        with pytest.raises(ValueError):
+            instantiate_base(fn, 1, 1)
+
     def test_deterministic(self):
         a = instantiate_base(15, 4, 7)
         b = instantiate_base.__wrapped__(15, 4, 7)  # bypass the cache

@@ -115,6 +115,22 @@ class TestRecordIO:
         with pytest.raises(RecordError, match="dim"):
             read_record(str(bad))
 
+    @pytest.mark.parametrize(
+        "key, bad, error",
+        [
+            ("pair_index", "99", "pair index"),
+            ("dim", "4", "dimension 4"),
+            ("instance", "0", "instance id"),
+            ("group", "moderate-moderate", "group"),
+        ],
+    )
+    def test_problem_fields_checked(self, key, bad, error):
+        lines = run_random_search(sphere_problem(), 20, 1).to_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
+        lines[i] = f"{key}: {bad}"
+        with pytest.raises(RecordError, match=error):
+            RunRecord.from_text("\n".join(lines) + "\n")
+
     def test_archive_row_width_checked(self, tmp_path):
         text = run_random_search(sphere_problem(), 20, 1).to_text()
         bad = tmp_path / "bad.rec"

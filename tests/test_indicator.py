@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biobj.indicator import Archive, dominates, hypervolume, normalize
 
@@ -183,6 +185,16 @@ class TestArchive:
                 assert abs(
                     arch.hypervolume_value - arch.recompute_hypervolume()
                 ) < 1e-12
+
+    # Normalized objectives on a 0.1 grid over [-0.2, 1.2]: ties, duplicates
+    # and points on or beyond the (1, 1) edge are common.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=60))
+    def test_incremental_matches_scratch_on_a_grid(self, cells):
+        arch = self.unit_archive()
+        for a, b in cells:
+            arch.insert([0.0], (a / 10, b / 10))
+            assert abs(arch.hypervolume_value - arch.recompute_hypervolume()) <= 1e-12
 
     def test_raw_objectives_normalized_against_problem_scale(self):
         arch = Archive((10.0, -2.0), (20.0, 8.0))

@@ -145,6 +145,21 @@ class TestInstanceMap:
         with pytest.raises(ValueError):
             instance_map(0)
 
+    def test_derived_pair_cached(self, monkeypatch):
+        calls = []
+
+        def counting_build(*args):
+            calls.append(args)
+            return _build(*args)
+
+        compute_instance_pair.cache_clear()
+        monkeypatch.setattr(suite, "_build", counting_build)
+        first = instance_map(11)
+        n = len(calls)
+        assert n >= N_PAIRS * len(SUITE_DIMS)
+        assert instance_map(11) == first
+        assert len(calls) == n
+
 
 class TestEnumeration:
     def test_full_cardinality(self):

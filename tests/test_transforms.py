@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biobj.transforms import (
     boundary_penalty,
@@ -91,7 +94,9 @@ class TestDiagonalScaling:
         assert np.array_equal(diagonal_scaling(1.0, 6), np.ones(6))
 
     def test_dim_one(self):
-        assert np.array_equal(diagonal_scaling(1e6, 1), np.ones(1))
+        # the suite starts at D = 2; (i-1)/(D-1) is undefined for D = 1
+        with pytest.raises(ValueError):
+            diagonal_scaling(1e6, 1)
 
     def test_condition_ratio(self):
         for alpha in (10.0, 1e6):
@@ -131,6 +136,42 @@ class TestOscillation:
             assert t_osz(a) <= t_osz(b)
 
 
+# Ragged float vectors mixing zeros with tiny, unit and huge magnitudes.
+_osz_inputs = hnp.arrays(
+    np.float64,
+    st.integers(0, 12),
+    elements=st.one_of(
+        st.just(0.0),
+        st.floats(-1e-300, 1e-300),
+        st.floats(-20.0, 20.0),
+        st.floats(-1e300, 1e300),
+    ),
+)
+
+
+class TestOscillationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_osz_inputs)
+    def test_vector_equals_scalar_elementwise(self, x):
+        out = t_osz(x)
+        assert out.shape == x.shape
+        for i in range(len(x)):
+            assert out[i] == t_osz(float(x[i]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_osz_inputs)
+    def test_sign_preserving(self, x):
+        assert np.array_equal(np.sign(t_osz(x)), np.sign(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_osz_inputs)
+    def test_monotone(self, x):
+        # Monotone up to rounding: the sines can swap images of inputs a
+        # few ulps apart by a few ulps, so allow a relative 1e-12 step back.
+        y = t_osz(np.sort(x))
+        assert np.all(np.diff(y) >= -1e-12 * np.abs(y[1:]))
+
+
 class TestAsymmetry:
     def test_beta_zero_identity(self):
         x = np.random.default_rng(1).uniform(-3, 3, 12)
@@ -146,7 +187,9 @@ class TestAsymmetry:
         assert np.allclose(t_asy(np.ones(3), 0.5), np.ones(3))
 
     def test_dim_one_is_identity(self):
-        assert t_asy(np.array([2.5]), 0.9)[0] == pytest.approx(2.5)
+        # the suite starts at D = 2; (i-1)/(D-1) is undefined for D = 1
+        with pytest.raises(ValueError):
+            t_asy(np.array([2.5]), 0.9)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
