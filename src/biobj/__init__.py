@@ -10,10 +10,8 @@ from .base_functions import (
     BASE_FUNCTION_IDS,
     BASE_FUNCTION_NAMES,
     BaseInstance,
-    FunctionProperties,
     evaluate_base,
     instantiate_base,
-    properties_of,
 )
 from .indicator import Archive, dominates, hypervolume, normalize
 from .suite import (
@@ -33,7 +31,6 @@ __all__ = [
     "BASE_FUNCTION_NAMES",
     "BaseInstance",
     "BiObjProblem",
-    "FunctionProperties",
     "ProblemId",
     "dominates",
     "enumerate_suite",
@@ -45,7 +42,6 @@ __all__ = [
     "instantiate_problem",
     "normalize",
     "pair_index",
-    "properties_of",
     "unpair",
 ]
 

@@ -52,37 +52,6 @@ class UnknownFunctionError(ValueError):
     """Raised for a function id outside the 10 supported ones."""
 
 
-@dataclass(frozen=True)
-class FunctionProperties:
-    separable: bool
-    partially_separable: bool
-    unimodal: bool
-    conditioning: float
-    asymmetric: bool
-    n_local_optima_scale: str
-
-
-#: Landscape metadata per function id.
-_PROPERTIES = {
-    1: FunctionProperties(True, True, True, 1.0, False, "1"),
-    2: FunctionProperties(True, True, True, 1e6, False, "1"),
-    6: FunctionProperties(False, False, True, 10.0, True, "1"),
-    8: FunctionProperties(False, True, False, 100.0, False, "2"),
-    13: FunctionProperties(False, False, True, 100.0, False, "1"),
-    14: FunctionProperties(False, False, True, math.inf, False, "1"),
-    15: FunctionProperties(False, False, False, 10.0, True, "~10^D"),
-    17: FunctionProperties(False, False, False, 10.0, True, "~10^D"),
-    20: FunctionProperties(False, True, False, 10.0, False, "2^D"),
-    21: FunctionProperties(False, False, False, 30.0, False, "101"),
-}
-
-
-def properties_of(fn: int) -> FunctionProperties:
-    """Landscape metadata (separability, modality, conditioning) for ``fn``."""
-    _check_fn(fn)
-    return _PROPERTIES[fn]
-
-
 @dataclass(frozen=True, eq=False)
 class BaseInstance:
     """One instantiated single-objective function.

@@ -27,16 +27,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_set(text: str) -> tuple[int, ...]:
-    """Parse '1,3,5' or '1-10' (or a mix) into a sorted tuple of ints."""
+    """Parse '1,3,5' or '1-10' (or a mix) into a sorted tuple of ints.
+
+    A chunk that is neither an integer nor a range LO-HI with LO <= HI is a
+    usage error naming the chunk.
+    """
     values: set[int] = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk.lstrip("-")[0:]:  # allow plain negatives to fail below
-            lo_str, _, hi_str = chunk.partition("-")
-            if lo_str and hi_str:
-                values.update(range(int(lo_str), int(hi_str) + 1))
-                continue
-        values.add(int(chunk))
+        head, dash, tail = chunk[1:].partition("-")  # a leading '-' is a sign
+        try:
+            lo, hi = (int(chunk[:1] + head), int(tail)) if dash else (int(chunk),) * 2
+            ascending = lo <= hi
+        except ValueError:
+            ascending = False
+        if not ascending:
+            raise argparse.ArgumentTypeError(
+                f"{chunk!r} is not an integer or an ascending range LO-HI"
+            )
+        values.update(range(lo, hi + 1))
     return tuple(sorted(values))
 
 

@@ -24,7 +24,8 @@ MIX_MULTIPLIER_2 = 0x94D049BB133111EB
 SEED_HASH_INIT = 0x243F6A8885A308D3
 
 # ---------------------------------------------------------------------------
-# Oscillation nonlinearity: sign-preserving, monotone map
+# Oscillation nonlinearity: a sign-preserving map, monotone up to rounding
+# (a few ulps),
 #   x -> sign(x) * exp(log|x| + A * (sin(c1 log|x|) + sin(c2 log|x|)))
 # with coefficients depending on the sign of x.
 # ---------------------------------------------------------------------------

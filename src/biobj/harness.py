@@ -8,13 +8,14 @@ with identical configuration write byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import PENALTY_EDGE
-from .indicator import Archive, hypervolume
+from .indicator import Archive, hypervolume, normalize
 from .suite import (
     BiObjProblem,
     ProblemId,
@@ -28,11 +29,27 @@ DEFAULT_BUDGET_MULTIPLIER = 1000
 DEFAULT_SEEDS = tuple(range(1, 16))
 DEFAULT_SIGMA = 0.5
 
+#: Optimizer names; an optimizer's position here tags its random stream.
 OPTIMIZERS = ("random-search", "archive-evolver")
 
 
 class RecordError(ValueError):
     """A record's text is malformed or violates the trace or archive invariants."""
+
+
+def check_run_settings(optimizer: str, seed: int, budget: int, sigma=None) -> None:
+    """The rule for a run's settings; raises ValueError naming the bad one.
+
+    ``sigma``, the archive evolver's step size, is checked when given.
+    """
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
+    if seed < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if sigma is not None and not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 #: Required header keys, in file order; an optional ``sigma`` may follow.
@@ -56,12 +73,15 @@ class RunRecord:
     optimizer: str
     seed: int
     budget: int
-    group: str
     ideal: tuple[float, float]
     nadir: tuple[float, float]
     trace: list[tuple[int, float]]
     archive: list[tuple[float, ...]]
     sigma: float | None = None
+
+    @property
+    def group(self) -> str:
+        return group_of(self.problem.pair_index)
 
     @property
     def final_hv(self) -> float:
@@ -113,23 +133,17 @@ class RunRecord:
             if key not in header:
                 raise RecordError(f"missing header field {key!r}")
 
-        problem = ProblemId(
-            *(_parse(int, header[k], k) for k in ("pair_index", "dim", "instance"))
-        )
         try:  # the header must name a suite problem
-            enumerate_suite([problem.pair_index], [problem.dim], [problem.instance])
+            problem = ProblemId(
+                *(_parse(int, header[k], k) for k in ("pair_index", "dim", "instance"))
+            )
         except ValueError as exc:
             raise RecordError(str(exc)) from None
-        if header["group"] != group_of(problem.pair_index):
-            raise RecordError(
-                f"group {header['group']!r} is not that of pair {problem.pair_index}"
-            )
         record = cls(
             problem=problem,
             optimizer=header["optimizer"],
             seed=_parse(int, header["seed"], "seed"),
             budget=_parse(int, header["budget"], "budget"),
-            group=header["group"],
             ideal=_parse(_float_pair, header["ideal"], "ideal"),
             nadir=_parse(_float_pair, header["nadir"], "nadir"),
             trace=[
@@ -144,6 +158,17 @@ class RunRecord:
                 _parse(float, header["sigma"], "sigma") if "sigma" in header else None
             ),
         )
+        if header["group"] != record.group:
+            raise RecordError(
+                f"group {header['group']!r} is not that of pair {problem.pair_index}"
+            )
+        try:
+            check_run_settings(record.optimizer, record.seed, record.budget, record.sigma)
+            normalize(record.ideal, record.ideal, record.nadir)  # ideal below nadir
+        except ValueError as exc:
+            raise RecordError(str(exc)) from None
+        if (record.sigma is None) == (record.optimizer == "archive-evolver"):
+            raise RecordError("'sigma:' belongs in exactly the archive-evolver records")
         for prev, cur in zip(record.trace, record.trace[1:]):
             if cur[0] <= prev[0] or cur[1] < prev[1]:
                 raise RecordError(f"trace not monotone at eval {cur[0]}")
@@ -185,21 +210,20 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(map(float, text.split()))
 
 
-def _run_rng(problem: BiObjProblem, seed: int, tag: int) -> np.random.Generator:
-    pid = problem.id
-    return np.random.default_rng(
-        [seed, pid.pair_index, pid.dim, pid.instance, tag]
-    )
-
-
 def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
-    """Evaluate ``budget`` points from ``propose(archive)``; trace each change."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    """Evaluate ``budget`` points from ``propose(archive, rng)``; trace each change.
+
+    Raises ValueError unless the settings pass ``check_run_settings``.
+    """
+    check_run_settings(optimizer, seed, budget, sigma)
+    pid = problem.id
+    rng = np.random.default_rng(
+        [seed, pid.pair_index, pid.dim, pid.instance, OPTIMIZERS.index(optimizer)]
+    )
     archive = Archive(problem.ideal, problem.nadir)
     trace: list[tuple[int, float]] = []
     for i in range(1, budget + 1):
-        x = propose(archive)
+        x = propose(archive, rng)
         if archive.insert(x, problem.evaluate(x)):
             trace.append((i, archive.hypervolume_value))
     return RunRecord(
@@ -207,7 +231,6 @@ def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
         optimizer=optimizer,
         seed=seed,
         budget=budget,
-        group=problem.group,
         ideal=problem.ideal,
         nadir=problem.nadir,
         trace=trace,
@@ -218,14 +241,14 @@ def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
     )
 
 
+def _uniform(d: int):
+    """Proposal of random search: a uniform point of [-5, 5]^d."""
+    return lambda archive, rng: rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d)
+
+
 def run_random_search(problem: BiObjProblem, budget: int, seed: int) -> RunRecord:
     """Uniform sampling in [-5, 5]^D; exactly ``budget`` evaluations."""
-    rng = _run_rng(problem, seed, 0)
-    d = problem.dim
-    return _run(
-        problem, budget, seed, "random-search",
-        lambda archive: rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, d),
-    )
+    return _run(problem, budget, seed, "random-search", _uniform(problem.dim))
 
 
 def run_archive_evolver(
@@ -235,12 +258,9 @@ def run_archive_evolver(
     step_sigma: float = DEFAULT_SIGMA,
 ) -> RunRecord:
     """Mutate uniformly chosen archive members with Gaussian steps."""
-    if step_sigma <= 0:
-        raise ValueError(f"step sigma must be positive, got {step_sigma}")
-    rng = _run_rng(problem, seed, 1)
     d = problem.dim
 
-    def propose(archive: Archive) -> np.ndarray:
+    def propose(archive: Archive, rng: np.random.Generator) -> np.ndarray:
         if archive.entries:
             parent = archive.entries[rng.integers(len(archive.entries))].x
             return parent + step_sigma * rng.standard_normal(d)
@@ -252,11 +272,13 @@ def run_archive_evolver(
 def run_optimizer(
     name: str, problem: BiObjProblem, budget: int, seed: int, sigma: float = DEFAULT_SIGMA
 ) -> RunRecord:
-    if name == "random-search":
-        return run_random_search(problem, budget, seed)
+    """Run optimizer ``name``; ``sigma`` is the archive evolver's step size.
+
+    A name not in OPTIMIZERS raises ValueError from ``check_run_settings``.
+    """
     if name == "archive-evolver":
         return run_archive_evolver(problem, budget, seed, sigma)
-    raise ValueError(f"unknown optimizer {name!r}; expected one of {OPTIMIZERS}")
+    return _run(problem, budget, seed, name, _uniform(problem.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +342,13 @@ class ExperimentConfig:
     problem_ids: list = field(init=False)
 
     def __post_init__(self):
-        if self.budget_multiplier < 1:
-            raise ValueError("budget multiplier must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if not (self.sigma > 0 and np.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (self.optimizers and self.seeds):
+            raise ValueError("at least one optimizer and one seed are required")
+        # A cell's budget is budget_multiplier x D with D >= 2, so every
+        # budget passes the rule iff the multiplier does.
         for name in self.optimizers:
-            if name not in OPTIMIZERS:
-                raise ValueError(f"unknown optimizer {name!r}")
+            for seed in self.seeds:
+                check_run_settings(name, seed, self.budget_multiplier, self.sigma)
         self.problem_ids = enumerate_suite(self.functions, self.dims, self.instances)
         if not self.problem_ids:
             raise ValueError("experiment filters select no problems")

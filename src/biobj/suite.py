@@ -29,8 +29,6 @@ SUITE_DIMS = (2, 3, 5, 10, 20, 40)
 #: Default number of shipped bi-objective instances.
 N_INSTANCES = 10
 
-N_PAIRS = 55
-
 #: Validity conditions on an instantiated problem: minimum separation of the
 #: two optima in search space, and of ideal/nadir in objective space.
 MIN_X_OPT_DISTANCE = 1e-4
@@ -47,6 +45,13 @@ _CATEGORIES = (
 )
 
 
+#: The ordered pairs (i <= j) of positions in the 10-function list, in pair
+#: order: pair index k names ``_PAIRS[k - 1]``.
+_PAIRS = tuple((i, j) for i in range(1, 11) for j in range(i, 11))
+
+N_PAIRS = len(_PAIRS)
+
+
 class SuiteConsistencyError(RuntimeError):
     """An instantiated problem violated a suite invariant (build-time bug)."""
 
@@ -55,19 +60,14 @@ def pair_index(i: int, j: int) -> int:
     """Map an ordered pair of list positions (1 <= i <= j <= 10) to 1..55."""
     if not (1 <= i <= j <= 10):
         raise ValueError(f"need 1 <= i <= j <= 10, got ({i}, {j})")
-    return (i - 1) * 10 - (i - 1) * (i - 2) // 2 + (j - i + 1)
+    return _PAIRS.index((i, j)) + 1
 
 
 def unpair(k: int) -> tuple[int, int]:
     """Inverse of :func:`pair_index`."""
     if not (1 <= k <= N_PAIRS):
         raise ValueError(f"pair index must be in 1..55, got {k}")
-    for i in range(1, 11):
-        first = pair_index(i, i)
-        last = pair_index(i, 10)
-        if first <= k <= last:
-            return i, i + (k - first)
-    raise AssertionError("unreachable")
+    return _PAIRS[k - 1]
 
 
 def function_pair(k: int) -> tuple[int, int]:
@@ -89,12 +89,7 @@ def group_of(k: int) -> str:
 
 def all_groups() -> list[str]:
     """The 15 class labels in pair order."""
-    seen: list[str] = []
-    for k in range(1, N_PAIRS + 1):
-        g = group_of(k)
-        if g not in seen:
-            seen.append(g)
-    return seen
+    return list(dict.fromkeys(group_of(k) for k in range(1, N_PAIRS + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +136,6 @@ def instance_map(biobj_instance: int) -> tuple[int, int]:
     Shipped ids come from the pre-validated table; ids beyond it are derived
     on demand with the same validity loop.
     """
-    if biobj_instance < 1:
-        raise ValueError(f"instance id must be >= 1, got {biobj_instance}")
     if biobj_instance in INSTANCE_PAIRS:
         return INSTANCE_PAIRS[biobj_instance]
     return compute_instance_pair(biobj_instance)
@@ -155,9 +148,18 @@ def instance_map(biobj_instance: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ProblemId:
+    """A suite problem's name; construction raises ValueError unless it is one."""
+
     pair_index: int
     dim: int
     instance: int
+
+    def __post_init__(self):
+        unpair(self.pair_index)  # raises outside 1..55
+        if self.dim not in SUITE_DIMS:
+            raise ValueError(f"dimension {self.dim} is not in {SUITE_DIMS}")
+        if self.instance < 1:
+            raise ValueError(f"instance id must be >= 1, got {self.instance}")
 
     def __str__(self) -> str:
         return f"k{self.pair_index:02d}_d{self.dim:02d}_i{self.instance:02d}"
@@ -223,10 +225,8 @@ def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):
 
 def instantiate_problem(pair_idx: int, dim: int, instance: int) -> BiObjProblem:
     """Build one suite problem; raises on invariant violations."""
-    if dim not in SUITE_DIMS:
-        raise ValueError(f"dimension {dim} is not in {SUITE_DIMS}")
-    parts = _build(pair_idx, dim, *instance_map(instance))
-    return BiObjProblem(ProblemId(pair_idx, dim, instance), *parts)
+    pid = ProblemId(pair_idx, dim, instance)
+    return BiObjProblem(pid, *_build(pair_idx, dim, *instance_map(instance)))
 
 
 def enumerate_suite(
@@ -234,7 +234,8 @@ def enumerate_suite(
 ) -> list[ProblemId]:
     """Ordered problem ids: dimension-major, then pair index, then instance.
 
-    Unfiltered, this is the full 55 x 6 x 10 = 3300-problem suite.
+    Unfiltered, this is the full 55 x 6 x 10 = 3300-problem suite.  A filter
+    value that names no suite problem raises ValueError (from ProblemId).
     """
     funcs = sorted(set(functions)) if functions is not None else range(1, N_PAIRS + 1)
     ds = sorted(set(dims)) if dims is not None else SUITE_DIMS
@@ -243,15 +244,6 @@ def enumerate_suite(
         if instances is not None
         else range(1, N_INSTANCES + 1)
     )
-    for k in funcs:
-        if not (1 <= k <= N_PAIRS):
-            raise ValueError(f"pair index must be in 1..55, got {k}")
-    for d in ds:
-        if d not in SUITE_DIMS:
-            raise ValueError(f"dimension {d} is not in {SUITE_DIMS}")
-    for i in insts:
-        if i < 1:
-            raise ValueError(f"instance id must be >= 1, got {i}")
     return [
         ProblemId(k, d, i) for d in ds for k in funcs for i in insts
     ]

@@ -125,9 +125,9 @@ def diagonal_scaling(alpha: float, dim: int) -> np.ndarray:
 
 
 def t_osz(v) -> np.ndarray | float:
-    """Oscillation nonlinearity: elementwise, sign-preserving, monotone.
+    """Oscillation nonlinearity: elementwise and sign-preserving.
 
-    For x != 0, with xh = log|x|:
+    Monotone up to rounding (a few ulps).  For x != 0, with xh = log|x|:
         sign(x) * exp(xh + 0.049 (sin(c1 xh) + sin(c2 xh)))
     with (c1, c2) = (10, 7.9) for x > 0 and (5.5, 3.1) for x < 0; 0 maps
     to 0.  Scalar input returns a float.

@@ -9,7 +9,6 @@ from biobj.base_functions import (
     UnknownFunctionError,
     evaluate_base,
     instantiate_base,
-    properties_of,
 )
 
 SUITE_DIMS = (2, 3, 5, 10, 20, 40)
@@ -154,36 +153,6 @@ class TestEvaluation:
 
 
 class TestProperties:
-    def test_fixture_table(self):
-        # transcribed landscape metadata: (separable, partially_separable,
-        # unimodal, conditioning, asymmetric, n_local_optima_scale)
-        fixture = {
-            1: (True, True, True, 1.0, False, "1"),
-            2: (True, True, True, 1e6, False, "1"),
-            6: (False, False, True, 10.0, True, "1"),
-            8: (False, True, False, 100.0, False, "2"),
-            13: (False, False, True, 100.0, False, "1"),
-            14: (False, False, True, math.inf, False, "1"),
-            15: (False, False, False, 10.0, True, "~10^D"),
-            17: (False, False, False, 10.0, True, "~10^D"),
-            20: (False, True, False, 10.0, False, "2^D"),
-            21: (False, False, False, 30.0, False, "101"),
-        }
-        for fn, row in fixture.items():
-            p = properties_of(fn)
-            assert (
-                p.separable,
-                p.partially_separable,
-                p.unimodal,
-                p.conditioning,
-                p.asymmetric,
-                p.n_local_optima_scale,
-            ) == row
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(UnknownFunctionError):
-            properties_of(24)
-
     def test_names(self):
         assert BASE_FUNCTION_NAMES[1] == "Sphere"
         assert BASE_FUNCTION_NAMES[21] == "Gallagher 101 peaks"

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import biobj
 from biobj import harness
 from biobj.cli import main
 from biobj.harness import (
@@ -204,10 +207,15 @@ class TestExperiment:
     def test_empty_selection_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(out_dir=str(tmp_path), functions=())
+        # With no optimizer the settings rule never runs, so this must raise.
+        with pytest.raises(ValueError, match="at least one optimizer"):
+            ExperimentConfig(out_dir=str(tmp_path), optimizers=(), seeds=(-1,))
 
     def test_unknown_optimizer_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(out_dir=str(tmp_path), optimizers=("cmaes",))
+        with pytest.raises(ValueError, match="unknown optimizer 'cmaes'"):
+            harness.run_optimizer("cmaes", sphere_problem(), 10, 1)
 
     def test_under_evaluating_optimizer_raises(self, tmp_path, monkeypatch):
         def short_run(name, problem, budget, seed, sigma):
@@ -369,6 +377,90 @@ class TestCli:
 
         assert main(["plot", rec, "--out", str(tmp_path / "front.svg")]) == 2
         assert "missing header field 'ideal'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "optimizer, key, value, error",
+        [
+            ("random-search", "optimizer", "nonsense", "unknown optimizer 'nonsense'"),
+            ("archive-evolver", "sigma", None, "'sigma:' belongs"),
+            ("random-search", "sigma", "0.5", "'sigma:' belongs"),
+            ("random-search", "seed", "-7", "seeds must be non-negative, got -7"),
+            ("random-search", "budget", "0", "budget must be >= 1, got 0"),
+            ("random-search", "ideal", "nan nan", "must be strictly below nadir"),
+        ],
+        ids=["optimizer", "evolver-without-sigma", "search-with-sigma", "seed",
+             "budget", "ideal"],
+    )
+    def test_bad_run_settings_are_a_data_error(
+        self, tmp_path, capsys, optimizer, key, value, error
+    ):
+        out = str(tmp_path / "res")
+        assert main(
+            ["run", "--functions", "1", "--dims", "2", "--instances", "1",
+             "--optimizer", "random-search", "--optimizer", "archive-evolver",
+             "--budget-mult", "10", "--seeds", "1", "--out", out]
+        ) == 0
+        rec = os.path.join(out, f"k01_d02_i01_{optimizer}_s001.rec")
+        head, _, body = open(rec).read().partition("trace:\n")
+        header = dict(line.split(": ", 1) for line in head.splitlines())
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        with open(rec, "w") as fh:
+            fh.write("".join(f"{k}: {v}\n" for k, v in header.items()))
+            fh.write("trace:\n" + body)
+        with pytest.raises(RecordError, match=error):
+            read_record(rec)
+        capsys.readouterr()
+
+        assert main(["summarize", out]) == 0
+        captured = capsys.readouterr()
+        assert f"skipping {rec}: " in captured.err
+        assert len(captured.out.splitlines()) == 2  # the other optimizer's row
+
+        assert main(["plot", rec, "--out", str(tmp_path / "front.svg")]) == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arg, chunk", [("5-3", "5-3"), ("1--3", "1--3"), ("1,5-3", "5-3")]
+    )
+    def test_bad_range_is_a_usage_error(self, tmp_path, capsys, arg, chunk):
+        assert main(["suite", "list", "--functions", arg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and f"'{chunk}'" in captured.err
+        out = tmp_path / "res"
+        assert main(["run", "--functions", arg, "--dims", "2", "--out", str(out)]) == 1
+        assert f"'{chunk}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exit_codes_under_python_O(self, tmp_path):
+        def biobj_O(*args):
+            src = os.path.dirname(os.path.dirname(biobj.__file__))
+            return subprocess.run(
+                [sys.executable, "-O", "-m", "biobj", *args],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=120,
+            )
+
+        out = tmp_path / "res"
+        usage = biobj_O("run", "--functions", "1", "--dims", "2", "--instances", "1",
+                        "--budget-mult", "5", "--seeds=-1", "--out", str(out))
+        assert usage.returncode == 1, usage.stderr
+        assert usage.stderr.startswith("usage error: ")
+        assert not out.exists()
+
+        rec = write_record(run_random_search(sphere_problem(), 20, 1), str(tmp_path))
+        with open(rec) as fh:
+            text = fh.read()
+        with open(rec, "w") as fh:
+            fh.write(text.replace("seed: 1\n", "seed: -7\n"))
+        svg = tmp_path / "front.svg"
+        data = biobj_O("plot", rec, "--out", str(svg))
+        assert data.returncode == 2, data.stderr
+        assert data.stderr.startswith("error: ") and "seed" in data.stderr
+        assert not svg.exists()
 
     @pytest.mark.parametrize("bad", [["--sigma", "0"], ["--seeds=-1"]])
     def test_usage_error_writes_nothing(self, tmp_path, capsys, bad):

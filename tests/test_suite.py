@@ -5,6 +5,7 @@ from biobj import suite
 from biobj.suite import (
     MANIFEST_HEADER,
     N_PAIRS,
+    ProblemId,
     SUITE_DIMS,
     SuiteConsistencyError,
     _build,
@@ -249,6 +250,16 @@ class TestProblems:
     def test_non_standard_dim_gate(self):
         with pytest.raises(ValueError):
             instantiate_problem(1, 4, 1)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [((0, 2, 1), "pair index"), ((56, 2, 1), "pair index"),
+         ((1, 4, 1), "dimension 4"), ((1, 1, 1), "dimension 1"),
+         ((1, 2, 0), "instance id")],
+    )
+    def test_problem_id_checks_itself(self, fields, error):
+        with pytest.raises(ValueError, match=error):
+            ProblemId(*fields)
 
     def test_coincident_optima_rejected(self):
         # sphere/sphere with one instance id for both objectives
