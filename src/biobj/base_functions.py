@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class BaseInstance:
     """One instantiated single-objective function.
 
     Immutable after construction; evaluation is pure, so instances may be
-    shared freely across threads.
+    shared freely across threads.  ``x_row`` and several ``aux`` vectors
+    are (1, D) rows: numpy broadcasts operands of equal ndim against a block
+    of rows faster, which matters for a batch of one.
     """
 
     fn: int
@@ -66,6 +68,11 @@ class BaseInstance:
     x_opt: np.ndarray
     f_opt: float
     aux: dict
+
+    @cached_property
+    def x_row(self) -> np.ndarray:
+        """``x_opt`` as a (1, D) row."""
+        return self.x_opt[None]
 
 
 def _check_fn(fn: int) -> None:
@@ -122,7 +129,7 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         aux["outer"] = q @ (lam10[:, None] * r)  # Q diag(lam) R
     elif fn == 14:
         aux["rot"] = random_rotation(seed_r, dim)
-        aux["exponents"] = 2.0 + 4.0 * np.arange(dim) / (dim - 1)
+        aux["exponents"] = (2.0 + 4.0 * np.arange(dim) / (dim - 1))[None]
     elif fn == 15:
         aux["rot"] = r = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
@@ -136,8 +143,9 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
     elif fn == 8:
         aux["scale"] = max(1.0, math.sqrt(dim) / 8.0)
     elif fn == 20:
-        aux["lam"] = lam10
-        aux["x_opt_abs"] = 2.0 * np.abs(x_opt)  # 4.2096874633 per coordinate
+        aux["lam"] = lam10[None]
+        aux["x_opt_sign"] = 2.0 * np.sign(x_opt)[None]  # +-2 per coordinate
+        aux["x_opt_abs"] = 2.0 * np.abs(x_opt)[None]  # 4.2096874633 per coordinate
     elif fn == 21:
         aux.update(_gallagher_layout(instance_id, dim, x_opt))
         aux["rot"] = random_rotation(seed_r, dim)
@@ -184,85 +192,111 @@ def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_base(inst: BaseInstance, x) -> float:
-    """Evaluate ``inst`` at ``x`` (length-D, finite)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.dim,):
-        raise ValueError(f"expected a vector of length {inst.dim}, got shape {x.shape}")
-    return _EVALUATORS[inst.fn](inst, x) + inst.f_opt
+def evaluate_base(inst: BaseInstance, X) -> np.ndarray:
+    """Evaluate ``inst`` at each row of ``X`` (shape (N, D)); returns shape (N,).
+
+    A row's value does not depend on its batch: it is bitwise the value of
+    the same row evaluated as a batch of one.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != inst.dim:
+        raise ValueError(f"expected shape (N, {inst.dim}), got {X.shape}")
+    return _EVALUATORS[inst.fn](inst, X) + inst.f_opt
 
 
-def _eval_sphere(inst: BaseInstance, x: np.ndarray) -> float:
-    z = x - inst.x_opt
-    return float(z @ z)
+# The evaluators below give each row the bits it gets as a batch of one, so
+# that batching changes no output:
+# - a rotation is a stack of gemv products m @ z (``_rotate``); a gemm
+#   X @ m.T, einsum and column sums round differently, and a gemm's rounding
+#   depends on N;
+# - a row's dot product is ``np.vecdot``, which rounds like the 1-D z @ z;
+#   sum(Z * Z, axis=1) and einsum do not;
+# - sums, means and maxima reduce the last axis of a row block, one row at a
+#   time, through the ufunc method (``np.add.reduce``: the np.sum and np.mean
+#   wrappers cost more per call);
+# - a power of one value per row is C ``pow`` on Python floats (``_c_pow``):
+#   numpy's array power and square differ from it in the last bit for some
+#   inputs.
 
 
-def _eval_ellipsoid(inst: BaseInstance, x: np.ndarray) -> float:
-    z = t_osz(x - inst.x_opt)
-    return float(inst.aux["weights"] @ (z * z))
+def _rotate(m: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``m @ z`` for each row z of ``Z``, as a stack of gemv products."""
+    return (m @ Z[..., None])[..., 0]
 
 
-def _eval_attractive_sector(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["outer"] @ (x - inst.x_opt)
-    s = np.where(z * inst.x_opt > 0.0, 100.0, 1.0)
-    sz = s * z
-    return float(t_osz(float(sz @ sz)) ** 0.9)
+def _c_pow(a: np.ndarray, p: float) -> np.ndarray:
+    """``v ** p`` with C pow for each element v of the 1-D array ``a``."""
+    return np.array([v**p for v in a.tolist()])
 
 
-def _eval_rosenbrock(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["scale"] * (x - inst.x_opt) + 1.0
-    head, tail = z[:-1], z[1:]
-    return float(
-        np.sum(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2)
-    )
+def _eval_sphere(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = X - inst.x_row
+    return np.vecdot(Z, Z)
 
 
-def _eval_sharp_ridge(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["outer"] @ (x - inst.x_opt)
-    return float(z[0] ** 2 + 100.0 * math.sqrt(float(z[1:] @ z[1:])))
+def _eval_ellipsoid(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = t_osz(X - inst.x_row)
+    return np.vecdot(inst.aux["weights"], Z * Z)
 
 
-def _eval_different_powers(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["rot"] @ (x - inst.x_opt)
-    return float(math.sqrt(np.sum(np.abs(z) ** inst.aux["exponents"])))
+def _eval_attractive_sector(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = _rotate(inst.aux["outer"], X - inst.x_row)
+    S = np.where(Z * inst.x_row > 0.0, 100.0, 1.0)
+    SZ = S * Z
+    return _c_pow(t_osz(np.vecdot(SZ, SZ)), 0.9)
 
 
-def _eval_rastrigin(inst: BaseInstance, x: np.ndarray) -> float:
-    y = t_asy(t_osz(inst.aux["rot"] @ (x - inst.x_opt)), 0.2)
-    z = inst.aux["outer"] @ y
-    return float(
-        10.0 * (inst.dim - np.sum(np.cos(2.0 * np.pi * z))) + z @ z
-    )
+def _eval_rosenbrock(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = inst.aux["scale"] * (X - inst.x_row) + 1.0
+    head, tail = Z[:, :-1], Z[:, 1:]
+    return np.add.reduce(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, -1)
 
 
-def _eval_schaffer(inst: BaseInstance, x: np.ndarray) -> float:
-    z = inst.aux["outer"] @ t_asy(inst.aux["rot"] @ (x - inst.x_opt), 0.5)
-    s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
-    rs = np.sqrt(s)
-    core = np.mean(rs + rs * np.sin(50.0 * s**0.2) ** 2)
-    return float(core**2 + 10.0 * boundary_penalty(x))
+def _eval_sharp_ridge(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = _rotate(inst.aux["outer"], X - inst.x_row)
+    rest = Z[:, 1:]
+    return _c_pow(Z[:, 0], 2) + 100.0 * np.sqrt(np.vecdot(rest, rest))
 
 
-def _eval_schwefel(inst: BaseInstance, x: np.ndarray) -> float:
-    signs = np.sign(inst.x_opt)
+def _eval_different_powers(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Z = _rotate(inst.aux["rot"], X - inst.x_row)
+    return np.sqrt(np.add.reduce(np.abs(Z) ** inst.aux["exponents"], -1))
+
+
+def _eval_rastrigin(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Y = t_asy(t_osz(_rotate(inst.aux["rot"], X - inst.x_row)), 0.2)
+    Z = _rotate(inst.aux["outer"], Y)
+    cos_sum = np.add.reduce(np.cos(2.0 * np.pi * Z), -1)
+    return 10.0 * (inst.dim - cos_sum) + np.vecdot(Z, Z)
+
+
+def _eval_schaffer(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    Y = t_asy(_rotate(inst.aux["rot"], X - inst.x_row), 0.5)
+    Z = _rotate(inst.aux["outer"], Y)
+    Q = Z**2
+    S = np.sqrt(Q[:, :-1] + Q[:, 1:])
+    RS = np.sqrt(S)
+    core = np.add.reduce(RS + RS * np.sin(50.0 * S**0.2) ** 2, -1) / (inst.dim - 1)
+    return _c_pow(core, 2) + 10.0 * boundary_penalty(X)
+
+
+def _eval_schwefel(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
     opt2 = inst.aux["x_opt_abs"]
-    xhat = 2.0 * signs * x
+    xhat = inst.aux["x_opt_sign"] * X
     zhat = xhat.copy()
-    zhat[1:] += 0.25 * (xhat[:-1] - opt2[:-1])
-    z = 100.0 * (inst.aux["lam"] * (zhat - opt2) + opt2)
-    core = -np.mean(z * np.sin(np.sqrt(np.abs(z)))) / 100.0
-    return float(
-        core + C.SCHWEFEL_OFFSET + 100.0 * boundary_penalty(z / 100.0)
-    )
+    zhat[:, 1:] += 0.25 * (xhat[:, :-1] - opt2[:, :-1])
+    Z = 100.0 * (inst.aux["lam"] * (zhat - opt2) + opt2)
+    # -mean / 100, the sign moved into the divisor: the same bits.
+    core = np.add.reduce(Z * np.sin(np.sqrt(np.abs(Z))), -1) / inst.dim / -100.0
+    return core + C.SCHWEFEL_OFFSET + 100.0 * boundary_penalty(Z / 100.0)
 
 
-def _eval_gallagher(inst: BaseInstance, x: np.ndarray) -> float:
-    diff = (x[None, :] - inst.aux["centers"]) @ inst.aux["rot"].T
-    q = np.sum(inst.aux["coeffs"] * diff * diff, axis=1) / (2.0 * inst.dim)
-    best = float(np.max(inst.aux["heights"] * np.exp(-q)))
-    return float(
-        t_osz(C.GLOBAL_PEAK_HEIGHT - best) ** 2 + boundary_penalty(x)
-    )
+def _eval_gallagher(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
+    # (N, 101, D): every row's peak offsets, rotated by one gemm per row.
+    diff = (X[:, None, :] - inst.aux["centers"]) @ inst.aux["rot"].T
+    q = np.add.reduce(inst.aux["coeffs"] * diff * diff, -1) / (2.0 * inst.dim)
+    best = np.maximum.reduce(inst.aux["heights"] * np.exp(-q), -1)
+    return _c_pow(t_osz(C.GLOBAL_PEAK_HEIGHT - best), 2) + boundary_penalty(X)
 
 
 _EVALUATORS = {

@@ -8,6 +8,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class Archive:
     def insert(self, x, y) -> bool:
         """Offer one solution; True iff the archive composition changed."""
         y = (float(y[0]), float(y[1]))
-        if not (np.isfinite(y[0]) and np.isfinite(y[1])):
+        if not (math.isfinite(y[0]) and math.isfinite(y[1])):
             raise ValueError(f"objective values must be finite, got {y!r}")
         a, b = normalize(y, self.ideal, self.nadir)
 

@@ -189,12 +189,15 @@ class BiObjProblem:
     def group(self) -> str:
         return group_of(self.id.pair_index)
 
-    def evaluate(self, x) -> tuple[float, float]:
-        """Both objective values at ``x``; counts one evaluation."""
-        fa = evaluate_base(self.alpha, x)
-        fb = evaluate_base(self.beta, x)
-        self.eval_count += 1
-        return (fa, fb)
+    def evaluate(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Both objective values at each row of ``X`` (shape (N, D)).
+
+        Returns two arrays of shape (N,) and counts N evaluations.
+        """
+        fa = evaluate_base(self.alpha, X)
+        fb = evaluate_base(self.beta, X)
+        self.eval_count += len(fa)
+        return fa, fb
 
 
 def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):
@@ -212,7 +215,11 @@ def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):
 
     ideal = (alpha.f_opt, beta.f_opt)
     # Cross-evaluation formula; valid because every base optimum is unique.
-    nadir = (evaluate_base(alpha, beta.x_opt), evaluate_base(beta, alpha.x_opt))
+    # Python floats, as the manifest and record headers print their repr.
+    nadir = (
+        float(evaluate_base(alpha, beta.x_row)[0]),
+        float(evaluate_base(beta, alpha.x_row)[0]),
+    )
     if not (ideal[0] < nadir[0] and ideal[1] < nadir[1]):
         raise SuiteConsistencyError(
             f"{where}: ideal {ideal} does not strictly dominate nadir {nadir}"

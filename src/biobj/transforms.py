@@ -7,6 +7,8 @@ results on every platform.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .constants import (
@@ -124,27 +126,26 @@ def diagonal_scaling(alpha: float, dim: int) -> np.ndarray:
     return alpha**exponents
 
 
-def t_osz(v) -> np.ndarray | float:
+def t_osz(v) -> np.ndarray:
     """Oscillation nonlinearity: elementwise and sign-preserving.
 
     Monotone up to rounding (a few ulps).  For x != 0, with xh = log|x|:
         sign(x) * exp(xh + 0.049 (sin(c1 xh) + sin(c2 xh)))
     with (c1, c2) = (10, 7.9) for x > 0 and (5.5, 3.1) for x < 0; 0 maps
-    to 0.  Scalar input returns a float.
+    to 0.  Returns an array of the input's shape.
     """
     x = np.asarray(v, dtype=float)
-    xh = np.log(np.abs(x), out=np.zeros_like(x), where=x != 0.0)
+    xh = np.log(np.abs(x), out=np.zeros(x.shape), where=x != 0.0)
     pos = x > 0
     c1 = np.where(pos, OSC_COEFFS_POSITIVE[0], OSC_COEFFS_NEGATIVE[0])
     c2 = np.where(pos, OSC_COEFFS_POSITIVE[1], OSC_COEFFS_NEGATIVE[1])
-    out = np.sign(x) * np.exp(
+    return np.sign(x) * np.exp(
         xh + OSC_AMPLITUDE * (np.sin(c1 * xh) + np.sin(c2 * xh))
     )
-    return float(out) if x.ndim == 0 else out
 
 
 def t_asy(v, beta: float) -> np.ndarray:
-    """Asymmetry operator.
+    """Asymmetry operator, applied to each row (last axis) of ``v``.
 
     Positive coordinates are raised to 1 + beta * ((i-1)/(D-1)) * sqrt(x_i);
     non-positive coordinates pass through unchanged.  Needs D >= 2.
@@ -152,17 +153,29 @@ def t_asy(v, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError(f"asymmetry parameter must be >= 0, got {beta}")
     x = np.asarray(v, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValueError(f"need a vector of >= 2 coordinates, got shape {x.shape}")
-    frac = np.arange(len(x)) / (len(x) - 1)
-    out = x.copy()
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError(f"need rows of >= 2 coordinates, got shape {x.shape}")
     pos = x > 0
-    out[pos] = x[pos] ** (1.0 + beta * frac[pos] * np.sqrt(x[pos]))
-    return out
+    # where= keeps the non-positive entries out of sqrt and pow; each
+    # positive entry sees the same operations as in a per-element loop.
+    e = np.sqrt(x, out=np.zeros(x.shape), where=pos)
+    e *= _asy_weights(beta, x.shape[-1])
+    e += 1.0
+    return np.power(x, e, out=x.copy(), where=pos)
 
 
-def boundary_penalty(x) -> float:
-    """Quadratic penalty outside the box [-5, 5]^D; zero inside it."""
-    x = np.asarray(x, dtype=float)
+@lru_cache(maxsize=None)
+def _asy_weights(beta: float, d: int) -> np.ndarray:
+    """beta * (i-1)/(D-1) for i = 1..D (read-only: the cache shares it)."""
+    w = beta * (np.arange(d) / (d - 1))
+    w.setflags(write=False)
+    return w
+
+
+def boundary_penalty(x) -> np.ndarray:
+    """Quadratic penalty of each row (last axis) outside the box [-5, 5]^D.
+
+    Zero inside the box; a 1-D ``x`` is one row and gives a 0-d result.
+    """
     excess = np.maximum(0.0, np.abs(x) - PENALTY_EDGE)
-    return float(excess @ excess)
+    return np.vecdot(excess, excess)

@@ -79,7 +79,8 @@ def test_criterion_2_optimum_consistency():
             for dim in SUITE_DIMS:
                 for k in single_ids:
                     inst = instantiate_base(fn, k, dim)
-                    assert abs(evaluate_base(inst, inst.x_opt) - inst.f_opt) <= 1e-8
+                    value = evaluate_base(inst, inst.x_opt[None])[0]
+                    assert abs(value - inst.f_opt) <= 1e-8
         assert time.perf_counter() - start < 10.0
 
 
@@ -104,8 +105,8 @@ def test_criterion_4_nadir_correctness():
         ids = enumerate_suite()
         for pid in [ids[i] for i in rng.choice(len(ids), 20, replace=False)]:
             p = instantiate_problem(pid.pair_index, pid.dim, pid.instance)
-            assert p.nadir[0] == evaluate_base(p.alpha, p.beta.x_opt)
-            assert p.nadir[1] == evaluate_base(p.beta, p.alpha.x_opt)
+            assert p.nadir[0] == evaluate_base(p.alpha, p.beta.x_opt[None])[0]
+            assert p.nadir[1] == evaluate_base(p.beta, p.alpha.x_opt[None])[0]
         for inst in range(1, 11):
             p = instantiate_problem(1, 5, inst)
             delta = p.beta.x_opt - p.alpha.x_opt

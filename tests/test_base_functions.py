@@ -95,7 +95,7 @@ class TestEvaluation:
     def test_optimum_consistency(self, fn, dim):
         for k in range(1, 23):
             inst = instantiate_base(fn, k, dim)
-            assert abs(evaluate_base(inst, inst.x_opt) - inst.f_opt) <= 1e-8
+            assert abs(evaluate_base(inst, inst.x_opt[None])[0] - inst.f_opt) <= 1e-8
 
     @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
     def test_local_minimality(self, fn):
@@ -106,7 +106,7 @@ class TestEvaluation:
                 u = rng.standard_normal(dim)
                 u /= np.linalg.norm(u)
                 for h in (1e-3, 1e-2):
-                    value = evaluate_base(inst, inst.x_opt + h * u)
+                    value = evaluate_base(inst, (inst.x_opt + h * u)[None])[0]
                     assert value >= inst.f_opt - 1e-9
 
     def test_sphere_translation_structure(self):
@@ -116,13 +116,14 @@ class TestEvaluation:
             for _ in range(20):
                 x = rng.uniform(-5, 5, 6)
                 expected = float(np.sum((x - inst.x_opt) ** 2))
-                assert abs(evaluate_base(inst, x) - inst.f_opt - expected) < 1e-10
+                value = evaluate_base(inst, x[None])[0]
+                assert abs(value - inst.f_opt - expected) < 1e-10
 
     def test_sphere_unit_offset(self):
         inst = instantiate_base(1, 2, 5)
         e1 = np.zeros(5)
         e1[0] = 1.0
-        assert evaluate_base(inst, inst.x_opt + e1) == pytest.approx(
+        assert evaluate_base(inst, (inst.x_opt + e1)[None])[0] == pytest.approx(
             inst.f_opt + 1.0, abs=1e-12
         )
 
@@ -138,8 +139,9 @@ class TestEvaluation:
 
     def test_dimension_mismatch_rejected(self):
         inst = instantiate_base(1, 1, 5)
-        with pytest.raises(ValueError):
-            evaluate_base(inst, np.zeros(4))
+        for shape in ((1, 4), (5,), (1, 1, 5)):
+            with pytest.raises(ValueError):
+                evaluate_base(inst, np.zeros(shape))
 
     @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
     def test_finite_on_random_points(self, fn):
@@ -147,7 +149,7 @@ class TestEvaluation:
         inst = instantiate_base(fn, 1, 5)
         for _ in range(50):
             x = rng.uniform(-20, 20, 5)
-            value = evaluate_base(inst, x)
+            value = evaluate_base(inst, x[None])[0]
             assert np.isfinite(value)
             assert value >= inst.f_opt - 1e-8
 

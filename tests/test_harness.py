@@ -387,9 +387,12 @@ class TestCli:
             ("random-search", "seed", "-7", "seeds must be non-negative, got -7"),
             ("random-search", "budget", "0", "budget must be >= 1, got 0"),
             ("random-search", "ideal", "nan nan", "must be strictly below nadir"),
+            ("random-search", "ideal", "-inf -inf", "must be finite"),
+            ("archive-evolver", "nadir", "inf inf", "must be finite"),
+            ("random-search", "ideal", "-50.0 -50.0", "are not its f1 f2 normalized"),
         ],
         ids=["optimizer", "evolver-without-sigma", "search-with-sigma", "seed",
-             "budget", "ideal"],
+             "budget", "ideal", "ideal-infinite", "nadir-infinite", "ideal-moved"],
     )
     def test_bad_run_settings_are_a_data_error(
         self, tmp_path, capsys, optimizer, key, value, error

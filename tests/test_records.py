@@ -3,6 +3,7 @@
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +51,8 @@ def test_archive_columns(record):
     problem = instantiate_problem(pid.pair_index, pid.dim, pid.instance)
     for row in RunRecord.from_text(record.to_text()).archive:
         assert len(row) == 4 + pid.dim
-        assert problem.evaluate(row[4:]) == row[2:4]
+        (f1,), (f2,) = problem.evaluate(np.array([row[4:]]))
+        assert (f1, f2) == row[2:4]
         assert normalize(row[2:4], record.ideal, record.nadir) == row[:2]
 
 

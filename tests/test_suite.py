@@ -199,11 +199,12 @@ class TestProblems:
 
     def test_extreme_points_map_to_nadir_components(self):
         p = instantiate_problem(13, 3, 2)
-        fa, fb = p.evaluate(p.alpha.x_opt)
+        (fa, fa_beta_opt), (fb_alpha_opt, fb) = p.evaluate(
+            np.stack([p.alpha.x_opt, p.beta.x_opt])
+        )
         assert fa == p.ideal[0]
-        assert fb == p.nadir[1]
-        fa, fb = p.evaluate(p.beta.x_opt)
-        assert fa == p.nadir[0]
+        assert fb_alpha_opt == p.nadir[1]
+        assert fa_beta_opt == p.nadir[0]
         assert fb == p.ideal[1]
 
     def test_evaluate_is_composition_and_counts(self):
@@ -212,12 +213,14 @@ class TestProblems:
         p = instantiate_problem(23, 5, 4)
         rng = np.random.default_rng(0)
         assert p.eval_count == 0
-        for i in range(5):
-            x = rng.uniform(-5, 5, 5)
-            fa, fb = p.evaluate(x)
-            assert fa == evaluate_base(p.alpha, x)
-            assert fb == evaluate_base(p.beta, x)
+        X = rng.uniform(-5, 5, (5, 5))
+        fa, fb = p.evaluate(X)
+        assert fa.shape == fb.shape == (5,)
+        assert np.array_equal(fa, evaluate_base(p.alpha, X))
+        assert np.array_equal(fb, evaluate_base(p.beta, X))
         assert p.eval_count == 5
+        p.evaluate(X[:2])
+        assert p.eval_count == 7
 
     def test_gallagher_pair_uses_distinct_instances(self):
         p = instantiate_problem(55, 2, 3)
@@ -228,11 +231,9 @@ class TestProblems:
         rng = np.random.default_rng(5)
         for k in (1, 18, 35, 55):
             p = instantiate_problem(k, 3, 2)
-            for _ in range(500):
-                x = rng.uniform(-30, 30, 3)
-                fa, fb = p.evaluate(x)
-                assert fa >= p.ideal[0] - 1e-8
-                assert fb >= p.ideal[1] - 1e-8
+            fa, fb = p.evaluate(rng.uniform(-30, 30, (500, 3)))
+            assert np.all(fa >= p.ideal[0] - 1e-8)
+            assert np.all(fb >= p.ideal[1] - 1e-8)
 
     def test_conditions_hold_on_sample(self):
         for k in (1, 28, 53, 55):
@@ -269,7 +270,9 @@ class TestProblems:
 
     def test_validity_loop_requires_strict_dominance(self, monkeypatch):
         # A nadir one unit below the ideal is far from it but not dominated.
-        monkeypatch.setattr(suite, "evaluate_base", lambda inst, x: inst.f_opt - 1.0)
+        monkeypatch.setattr(
+            suite, "evaluate_base", lambda inst, X: np.full(len(X), inst.f_opt - 1.0)
+        )
         with pytest.raises(SuiteConsistencyError, match="strictly dominate"):
             instantiate_problem(1, 2, 1)
         assert not _pair_is_valid(2, 4)
