@@ -291,11 +291,20 @@ def _eval_schwefel(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
     return core + C.SCHWEFEL_OFFSET + 100.0 * boundary_penalty(Z / 100.0)
 
 
+#: Bytes below glibc malloc's mmap threshold: a larger buffer is mapped and
+#: unmapped on every call, at a page fault per 4 KiB page.
+_UNMAPPED_BYTES = 128 * 1024 - 1
+
+
 def _eval_gallagher(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    # (N, 101, D): every row's peak offsets, rotated by one gemm per row.
-    diff = (X[:, None, :] - inst.aux["centers"]) @ inst.aux["rot"].T
-    q = np.add.reduce(inst.aux["coeffs"] * diff * diff, -1) / (2.0 * inst.dim)
-    best = np.maximum.reduce(inst.aux["heights"] * np.exp(-q), -1)
+    # (rows, 101, D) per slice: every row's peak offsets, rotated by one gemm
+    # per row; a slice's temporaries stay under the mmap threshold.
+    rows = max(1, _UNMAPPED_BYTES // (8 * C.N_PEAKS * inst.dim))
+    best = np.empty(len(X))
+    for s in range(0, len(X), rows):
+        diff = (X[s : s + rows, None, :] - inst.aux["centers"]) @ inst.aux["rot"].T
+        q = np.add.reduce(inst.aux["coeffs"] * diff * diff, -1) / (2.0 * inst.dim)
+        best[s : s + rows] = np.maximum.reduce(inst.aux["heights"] * np.exp(-q), -1)
     return _c_pow(t_osz(C.GLOBAL_PEAK_HEIGHT - best), 2) + boundary_penalty(X)
 
 

@@ -3,14 +3,21 @@ record byte depends on how the runner blocks its evaluations."""
 
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biobj import harness
 from biobj.base_functions import BASE_FUNCTION_IDS, evaluate_base, instantiate_base
-from biobj.harness import ExperimentConfig, run_experiment, run_random_search
+from biobj.harness import (
+    ExperimentConfig,
+    run_archive_evolver,
+    run_experiment,
+    run_random_search,
+)
 from biobj.suite import SUITE_DIMS, instantiate_problem
 
 #: Five pairs that together use all 10 base functions once each.
@@ -90,3 +97,44 @@ def test_random_search_record_independent_of_chunk(monkeypatch):
             assert problem.eval_count == 150
     assert texts[1] == texts[7] == texts[default]
 
+
+def _evolver_text(k, dim, budget, seed, sigma, spec):
+    """Record text of an evolver run with blocks of up to ``spec`` rows."""
+    problem = instantiate_problem(k, dim, 1)
+    with mock.patch.object(harness, "SPEC", spec):
+        text = run_archive_evolver(problem, budget, seed, sigma).to_text()
+    assert problem.eval_count == budget
+    return text
+
+
+@pytest.mark.parametrize("dim,budget", [(3, 150), (40, 200)])
+def test_evolver_record_independent_of_spec(dim, budget):
+    texts = {
+        spec: [_evolver_text(k, dim, budget, 5, 0.5, spec) for k in ALL_FUNCTION_PAIRS]
+        for spec in (1, 2, 3, harness.SPEC, 64)
+    }
+    assert all(t == texts[1] for t in texts.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 55),
+    dim=st.sampled_from((2, 3, 5)),
+    seed=st.integers(0, 2**31),
+    sigma=st.floats(1e-3, 3.0),
+    budget=st.integers(1, 200),
+)
+def test_evolver_record_same_as_one_row_at_a_time(k, dim, seed, sigma, budget):
+    assert _evolver_text(k, dim, budget, seed, sigma, 1) == _evolver_text(
+        k, dim, budget, seed, sigma, harness.SPEC
+    )
+
+
+@pytest.mark.parametrize("dim,rows", [(40, 4), (2, 81)])  # rows per slice
+def test_gallagher_slice_boundaries(dim, rows):
+    inst = instantiate_base(21, 1, dim)
+    rng = np.random.default_rng(dim)
+    for n in (1, rows - 1, rows, rows + 1, 64):
+        X = rng.uniform(-6, 6, (n, dim))
+        single = np.concatenate([evaluate_base(inst, X[i : i + 1]) for i in range(n)])
+        assert evaluate_base(inst, X).tobytes() == single.tobytes()
