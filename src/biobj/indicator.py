@@ -9,7 +9,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,8 @@ class Archive:
     """Non-dominated archive bound to one problem's ideal/nadir points.
 
     Entries are kept sorted by the first normalized objective ascending
-    (hence second objective strictly descending).
+    (hence second objective strictly descending); ``_a`` and ``_b`` hold
+    their normalized objectives as plain floats, in the same order.
     """
 
     def __init__(self, ideal, nadir):
@@ -72,6 +73,8 @@ class Archive:
         self.ideal = (float(ideal[0]), float(ideal[1]))
         self.nadir = (float(nadir[0]), float(nadir[1]))
         self.entries: list[ArchiveEntry] = []
+        self._a: list[float] = []
+        self._b: list[float] = []
         self._hv = 0.0
 
     def __len__(self) -> int:
@@ -82,23 +85,46 @@ class Archive:
         """Incrementally maintained normalized hypervolume, in [0, 1]."""
         return self._hv
 
+    def _place(self, a: float, b: float) -> int | None:
+        """Insert position of normalized (a, b); None if an entry weakly
+        dominates it.
+
+        Of the entries with a' <= a, the last has the smallest b', so it
+        alone decides.  If it is not dominating but has a' == a, the
+        newcomer dominates it and takes its place.
+        """
+        k = bisect_right(self._a, a)
+        if k and self._b[k - 1] <= b:
+            return None
+        return k - 1 if k and self._a[k - 1] == a else k
+
+    def undominated(self, fa, fb):
+        """Yield, in order, the index of each row of raw objectives
+        ``fa``, ``fb`` (sequences of floats) that ``_place`` admits.
+
+        Each row is tested against the archive as it stands when the
+        generator reaches it, so the rows it skips are exactly those
+        ``insert`` would reject.  A row with a non-finite value is yielded,
+        so that ``insert`` raises for it.
+        """
+        ia, ib = self.ideal
+        da, db = self.nadir[0] - ia, self.nadir[1] - ib
+        place = self._place
+        for j, (f1, f2) in enumerate(zip(fa, fb)):
+            if (
+                place((f1 - ia) / da, (f2 - ib) / db) is not None
+                or not (math.isfinite(f1) and math.isfinite(f2))
+            ):
+                yield j
+
     def insert(self, x, y) -> bool:
         """Offer one solution; True iff the archive composition changed."""
         y = (float(y[0]), float(y[1]))
         if not (math.isfinite(y[0]) and math.isfinite(y[1])):
             raise ValueError(f"objective values must be finite, got {y!r}")
         a, b = normalize(y, self.ideal, self.nadir)
-
-        i = bisect_left(self.entries, a, key=lambda e: e.normalized[0])
-        # Dominated (or duplicate) iff some entry with a' <= a has b' <= b;
-        # with b descending it suffices to look at positions i-1 and i.
-        if i > 0 and self.entries[i - 1].normalized[1] <= b:
-            return False
-        if (
-            i < len(self.entries)
-            and self.entries[i].normalized[0] == a
-            and self.entries[i].normalized[1] <= b
-        ):
+        i = self._place(a, b)
+        if i is None:
             return False
 
         # Entries dominated by the newcomer form a contiguous run at i.
@@ -121,6 +147,8 @@ class Archive:
 
         entry = ArchiveEntry(np.array(x, dtype=float), y, (a, b))
         self.entries[i:j] = [entry]
+        self._a[i:j] = [a]
+        self._b[i:j] = [b]
         self._hv += new - old
         return True
 

@@ -18,6 +18,7 @@ from biobj.harness import (
     run_experiment,
     run_random_search,
 )
+from biobj.indicator import Archive
 from biobj.suite import SUITE_DIMS, instantiate_problem
 
 #: Five pairs that together use all 10 base functions once each.
@@ -85,7 +86,8 @@ def test_row_value_independent_of_batch(block):
 
 
 def test_random_search_record_independent_of_chunk(monkeypatch):
-    # 150 evaluations: ragged last blocks for chunks 7 and 64.
+    # 600 evaluations: two full default blocks, then ragged last blocks for
+    # chunks 7 and the default.
     default = harness.CHUNK
     texts = {}
     for chunk in (1, 7, default):
@@ -93,9 +95,25 @@ def test_random_search_record_independent_of_chunk(monkeypatch):
         texts[chunk] = []
         for k in ALL_FUNCTION_PAIRS:
             problem = instantiate_problem(k, 3, 2)
-            texts[chunk].append(run_random_search(problem, 150, 5).to_text())
-            assert problem.eval_count == 150
+            texts[chunk].append(run_random_search(problem, 600, 5).to_text())
+            assert problem.eval_count == 600
     assert texts[1] == texts[7] == texts[default]
+
+
+@pytest.mark.parametrize("dim", [2, 40])
+def test_random_search_inserts_only_archive_changes(monkeypatch, dim):
+    calls = []
+    insert = Archive.insert
+
+    def counted(self, x, y):
+        calls.append(y)
+        return insert(self, x, y)
+
+    monkeypatch.setattr(Archive, "insert", counted)
+    for k in ALL_FUNCTION_PAIRS:
+        calls.clear()
+        record = run_random_search(instantiate_problem(k, dim, 1), 600, 3)
+        assert len(calls) == len(record.trace)
 
 
 def _evolver_text(k, dim, budget, seed, sigma, spec):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,3 +210,79 @@ class TestArchive:
         arch = self.unit_archive()
         with pytest.raises(ValueError):
             arch.insert([0.0], (float("nan"), 0.5))
+
+
+# Raw objectives on a grid of the archive below whose normalized values are
+# k / 10 for k in -2..12: ties, duplicates, equal first objectives and points
+# on or beyond the (1, 1) edge are common.
+IDEAL, NADIR = (10.0, -2.0), (20.0, 8.0)
+grid_rows = st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(
+    lambda c: (IDEAL[0] + c[0], IDEAL[1] + c[1])
+)
+ragged_blocks = st.lists(st.lists(grid_rows, min_size=1, max_size=20), max_size=12)
+
+
+def _state(arch):
+    entries = [(e.x.tolist(), e.objectives, e.normalized) for e in arch.entries]
+    return entries, arch.hypervolume_value.hex()
+
+
+def _screened(blocks, first_change_only):
+    """Accepted row indices and final state with ``undominated`` in front
+    of ``insert``, as the runner offers its blocks."""
+    arch = Archive(IDEAL, NADIR)
+    accepted, offset = [], 0
+    for block in blocks:
+        fa, fb = [y[0] for y in block], [y[1] for y in block]
+        for j in arch.undominated(fa, fb):
+            # A row the screen admits always changes the archive.
+            assert arch.insert([offset + j], (fa[j], fb[j])) is True
+            accepted.append(offset + j)
+            if first_change_only:
+                break
+        offset += len(block)
+    return accepted, _state(arch)
+
+
+def _one_at_a_time(blocks, first_change_only):
+    arch = Archive(IDEAL, NADIR)
+    accepted, offset = [], 0
+    for block in blocks:
+        for j, y in enumerate(block):
+            if arch.insert([offset + j], y):
+                accepted.append(offset + j)
+                if first_change_only:
+                    break
+        offset += len(block)
+    return accepted, _state(arch)
+
+
+class TestUndominated:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_blocks, st.booleans())
+    def test_same_archive_as_inserting_every_row(self, blocks, first_change_only):
+        assert _screened(blocks, first_change_only) == _one_at_a_time(
+            blocks, first_change_only
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(grid_rows, max_size=10),
+        st.lists(grid_rows, max_size=10),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 1),
+        st.booleans(),
+    )
+    def test_non_finite_row_reaches_insert(self, archived, block, bad, column, dominated):
+        # With an entry at the ideal every finite row is dominated, so only
+        # the non-finite check keeps the bad row from being skipped.
+        arch = Archive(IDEAL, NADIR)
+        for y in archived + ([IDEAL] if dominated else []):
+            arch.insert([0.0], y)
+        row = list(block[0] if block else IDEAL)
+        row[column] = bad
+        block = block + [tuple(row)]
+        fa, fb = [y[0] for y in block], [y[1] for y in block]
+        with pytest.raises(ValueError):
+            for j in arch.undominated(fa, fb):
+                arch.insert([0.0], (fa[j], fb[j]))
