@@ -56,7 +56,8 @@ class UnknownFunctionError(ValueError):
 class BaseInstance:
     """One instantiated single-objective function.
 
-    Immutable after construction; evaluation is pure, so instances may be
+    Immutable after construction (``x_opt`` and every ``aux`` array are
+    read-only); evaluation is pure, so instances may be
     shared freely across threads.  ``x_row`` and several ``aux`` vectors
     are (1, D) rows: numpy broadcasts operands of equal ndim against a block
     of rows faster, which matters for a batch of one.
@@ -150,9 +151,10 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         aux.update(_gallagher_layout(instance_id, dim, x_opt))
         aux["rot"] = random_rotation(seed_r, dim)
 
-    inst = BaseInstance(fn, instance_id, dim, x_opt, f_opt, aux)
-    inst.x_opt.setflags(write=False)
-    return inst
+    for array in (x_opt, *aux.values()):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return BaseInstance(fn, instance_id, dim, x_opt, f_opt, aux)
 
 
 def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PENALTY_EDGE
-from .indicator import Archive, hypervolume, normalize
+from .indicator import Archive, check_bounds, hypervolume
 from .suite import (
     BiObjProblem,
     ProblemId,
@@ -160,19 +160,22 @@ class RunRecord:
             )
         try:
             check_run_settings(record.optimizer, record.seed, record.budget, record.sigma)
-            normalize(record.ideal, record.ideal, record.nadir)  # ideal below nadir
+            check_bounds(record.ideal, record.nadir)
         except ValueError as exc:
             raise RecordError(str(exc)) from None
-        (ia, ib), (na, nb) = record.ideal, record.nadir
-        if not all(map(math.isfinite, (ia, ib, na, nb))):
-            raise RecordError("ideal and nadir must be finite")
         if (record.sigma is None) == (record.optimizer == "archive-evolver"):
             raise RecordError("'sigma:' belongs in exactly the archive-evolver records")
-        for prev, cur in zip(record.trace, record.trace[1:]):
-            if cur[0] <= prev[0] or cur[1] < prev[1]:
-                raise RecordError(f"trace not monotone at eval {cur[0]}")
+        prev_i, prev_hv = 0, 0.0
+        for i, hv in record.trace:
+            if not (i > prev_i and hv >= prev_hv):  # NaN fails the >=
+                raise RecordError(
+                    f"trace line {i} {hv!r}: indices must increase from 1 "
+                    "and values must not decrease from 0"
+                )
+            prev_i, prev_hv = i, hv
         if record.trace and record.trace[-1][0] > record.budget:
             raise RecordError("trace exceeds budget")
+        (ia, ib), (na, nb) = record.ideal, record.nadir
         width = 4 + problem.dim
         pa, pb = -math.inf, math.inf
         for row in record.archive:
@@ -241,30 +244,33 @@ CHUNK = 256
 SPEC = 8
 
 
-def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
-    """Evaluate ``budget`` points from ``propose``; trace each archive change.
+def run_optimizer(
+    name: str, problem: BiObjProblem, budget: int, seed: int, sigma: float = DEFAULT_SIGMA
+) -> RunRecord:
+    """Run optimizer ``name`` for ``budget`` evaluations; trace each archive
+    change.  ``sigma`` is the archive evolver's step size; random search
+    ignores it and records None.
 
-    ``propose(archive, rng, left)`` returns ``(X, marks)``: a block of 1 to
-    ``left`` rows, ``left`` being the evaluations still to make, and None
-    when the rows do not depend on the archive, else the state of ``rng``'s
-    bit generator after each row.  A block is evaluated as one batch and its
+    Each block of rows from ``_propose`` is evaluated as one batch and its
     rows are offered to the archive in order, except those an entry weakly
-    dominates (``insert`` would reject them).  The rows after one that
-    changes the archive are dropped and not counted, and the stream is
-    rewound to that row's mark, so the record has the same bytes for any
-    block sizes.  Raises ValueError unless the settings pass
-    ``check_run_settings``.
+    dominates (``insert`` would reject them).  When the rows depend on the
+    archive, the rows after one that changes it are dropped and not
+    counted, and the stream is rewound to that row's mark, so the record
+    has the same bytes for any block sizes.  Raises ValueError unless the
+    settings pass ``check_run_settings``.
     """
-    check_run_settings(optimizer, seed, budget, sigma)
+    if name == "random-search":
+        sigma = None
+    check_run_settings(name, seed, budget, sigma)
     pid = problem.id
     rng = np.random.default_rng(
-        [seed, pid.pair_index, pid.dim, pid.instance, OPTIMIZERS.index(optimizer)]
+        [seed, pid.pair_index, pid.dim, pid.instance, OPTIMIZERS.index(name)]
     )
     archive = Archive(problem.ideal, problem.nadir)
     trace: list[tuple[int, float]] = []
     i = 0
     while i < budget:
-        X, marks = propose(archive, rng, budget - i)
+        X, marks = _propose(archive, rng, budget - i, pid.dim, sigma)
         fa, fb = (f.tolist() for f in problem.evaluate(X))
         used = len(X)
         for j in archive.undominated(fa, fb):
@@ -278,72 +284,38 @@ def _run(problem, budget, seed, optimizer, propose, sigma=None) -> RunRecord:
             problem.eval_count -= len(X) - used
         i += used
     return RunRecord(
-        problem=problem.id,
-        optimizer=optimizer,
+        problem=pid,
+        optimizer=name,
         seed=seed,
         budget=budget,
         ideal=problem.ideal,
         nadir=problem.nadir,
         trace=trace,
-        archive=[
-            (*e.normalized, *e.objectives, *e.x.tolist()) for e in archive.entries
-        ],
+        archive=archive.rows,
         sigma=sigma,
     )
 
 
-def _uniform(d: int):
-    """Proposal of random search: a block of uniform points of [-5, 5]^d.
+def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, sigma):
+    """The next block of 1 to ``left`` rows, and the marks of its rows.
 
-    One (n, d) draw takes the same stream values as n draws of one point.
+    Random search (``sigma`` None) draws up to CHUNK uniform points of
+    [-5, 5]^d in one call, which takes the same stream values as one call per
+    point; its rows do not depend on the archive, so it has no marks.  The
+    archive evolver mutates up to SPEC uniformly chosen archive members by
+    Gaussian steps, marking each row with the state of ``rng``'s bit
+    generator after it; with an empty archive it draws one uniform point.
     """
-    return lambda archive, rng, left: (
-        rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (min(left, CHUNK), d)),
-        None,
-    )
-
-
-def run_random_search(problem: BiObjProblem, budget: int, seed: int) -> RunRecord:
-    """Uniform sampling in [-5, 5]^D; exactly ``budget`` evaluations."""
-    return _run(problem, budget, seed, "random-search", _uniform(problem.dim))
-
-
-def run_archive_evolver(
-    problem: BiObjProblem,
-    budget: int,
-    seed: int,
-    step_sigma: float = DEFAULT_SIGMA,
-) -> RunRecord:
-    """Mutate uniformly chosen archive members with Gaussian steps."""
-    d = problem.dim
-
-    def propose(archive: Archive, rng: np.random.Generator, left: int):
-        entries = archive.entries
-        if not entries:
-            return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (1, d)), None
-        # Until a row changes the archive, each row drawn from it is the row
-        # a one-at-a-time evolver draws; _run drops the rest and rewinds.
-        X = np.empty((min(left, SPEC), d))
-        marks = []
-        for row in X:
-            parent = entries[rng.integers(len(entries))].x
-            row[:] = parent + step_sigma * rng.standard_normal(d)
-            marks.append(rng.bit_generator.state)
-        return X, marks
-
-    return _run(problem, budget, seed, "archive-evolver", propose, step_sigma)
-
-
-def run_optimizer(
-    name: str, problem: BiObjProblem, budget: int, seed: int, sigma: float = DEFAULT_SIGMA
-) -> RunRecord:
-    """Run optimizer ``name``; ``sigma`` is the archive evolver's step size.
-
-    A name not in OPTIMIZERS raises ValueError from ``check_run_settings``.
-    """
-    if name == "archive-evolver":
-        return run_archive_evolver(problem, budget, seed, sigma)
-    return _run(problem, budget, seed, name, _uniform(problem.dim))
+    xs = archive.xs
+    if sigma is None or not xs:
+        n = 1 if sigma is not None else min(left, CHUNK)
+        return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (n, d)), None
+    X = np.empty((min(left, SPEC), d))
+    marks = []
+    for row in X:
+        row[:] = xs[rng.integers(len(xs))] + sigma * rng.standard_normal(d)
+        marks.append(rng.bit_generator.state)
+    return X, marks
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +21,27 @@ def dominates(u, v) -> bool:
     return ua <= va and ub <= vb and (ua < va or ub < vb)
 
 
-def normalize(y, ideal, nadir) -> tuple[float, float]:
-    """Affine map sending ideal to (0, 0) and nadir to (1, 1).
-
-    Values outside [0, 1] are permitted; a degenerate ideal/nadir pair
-    (non-positive range in either coordinate) is rejected.
+def check_bounds(ideal, nadir) -> None:
+    """The rule for an ideal/nadir pair; raises ValueError unless the ideal
+    is strictly below the nadir in both objectives and all four are finite.
     """
-    ia, ib = ideal
-    na, nb = nadir
+    (ia, ib), (na, nb) = ideal, nadir
     if not (ia < na and ib < nb):
         raise ValueError(
             f"ideal {ideal!r} must be strictly below nadir {nadir!r}"
         )
+    if not all(map(math.isfinite, (ia, ib, na, nb))):
+        raise ValueError(f"ideal {ideal!r} and nadir {nadir!r} must be finite")
+
+
+def normalize(y, ideal, nadir) -> tuple[float, float]:
+    """Affine map sending ideal to (0, 0) and nadir to (1, 1).
+
+    Values outside [0, 1] are permitted; bounds that break ``check_bounds``
+    are rejected.
+    """
+    check_bounds(ideal, nadir)
+    (ia, ib), (na, nb) = ideal, nadir
     return ((y[0] - ia) / (na - ia), (y[1] - ib) / (nb - ib))
 
 
@@ -53,32 +61,29 @@ def hypervolume(points) -> float:
     return hv
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
-    x: np.ndarray
-    objectives: tuple[float, float]
-    normalized: tuple[float, float]
-
-
 class Archive:
     """Non-dominated archive bound to one problem's ideal/nadir points.
 
     Entries are kept sorted by the first normalized objective ascending
-    (hence second objective strictly descending); ``_a`` and ``_b`` hold
-    their normalized objectives as plain floats, in the same order.
+    (hence second objective strictly descending).  Each entry is kept once,
+    in parallel lists in that order: ``rows`` holds its record row
+    ``(a_norm, b_norm, f1, f2, x_1, ..., x_D)`` of plain floats, ``xs`` its
+    decision vector, and ``_a``, ``_b`` its normalized objectives.
     """
 
     def __init__(self, ideal, nadir):
-        normalize(ideal, ideal=ideal, nadir=nadir)  # validates the pair
+        check_bounds(ideal, nadir)
         self.ideal = (float(ideal[0]), float(ideal[1]))
         self.nadir = (float(nadir[0]), float(nadir[1]))
-        self.entries: list[ArchiveEntry] = []
+        self._span = (self.nadir[0] - self.ideal[0], self.nadir[1] - self.ideal[1])
+        self.rows: list[tuple[float, ...]] = []
+        self.xs: list[np.ndarray] = []
         self._a: list[float] = []
         self._b: list[float] = []
         self._hv = 0.0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._a)
 
     @property
     def hypervolume_value(self) -> float:
@@ -108,7 +113,7 @@ class Archive:
         so that ``insert`` raises for it.
         """
         ia, ib = self.ideal
-        da, db = self.nadir[0] - ia, self.nadir[1] - ib
+        da, db = self._span
         place = self._place
         for j, (f1, f2) in enumerate(zip(fa, fb)):
             if (
@@ -119,55 +124,53 @@ class Archive:
 
     def insert(self, x, y) -> bool:
         """Offer one solution; True iff the archive composition changed."""
-        y = (float(y[0]), float(y[1]))
-        if not (math.isfinite(y[0]) and math.isfinite(y[1])):
+        f1, f2 = float(y[0]), float(y[1])
+        if not (math.isfinite(f1) and math.isfinite(f2)):
             raise ValueError(f"objective values must be finite, got {y!r}")
-        a, b = normalize(y, self.ideal, self.nadir)
+        a = (f1 - self.ideal[0]) / self._span[0]
+        b = (f2 - self.ideal[1]) / self._span[1]
         i = self._place(a, b)
         if i is None:
             return False
 
         # Entries dominated by the newcomer form a contiguous run at i.
+        A, B, n = self._a, self._b, len(self._a)
         j = i
-        while j < len(self.entries) and self.entries[j].normalized[1] >= b:
+        while j < n and B[j] >= b:
             j += 1
 
-        left = self.entries[i - 1].normalized if i > 0 else None
-        right_key = self._key(j)
+        def next_a(m):  # 1.0 past the last entry clips its strip at the edge
+            return A[m] if m < n else 1.0
 
         old = 0.0
-        if left is not None:
-            old += self._contribution(left, self._key(i))
+        if i > 0:
+            old += _contribution(A[i - 1], B[i - 1], next_a(i))
         for m in range(i, j):
-            old += self._contribution(self.entries[m].normalized, self._key(m + 1))
+            old += _contribution(A[m], B[m], next_a(m + 1))
 
-        new = self._contribution((a, b), right_key)
-        if left is not None:
-            new += self._contribution(left, a)
+        new = _contribution(a, b, next_a(j))
+        if i > 0:
+            new += _contribution(A[i - 1], B[i - 1], a)
 
-        entry = ArchiveEntry(np.array(x, dtype=float), y, (a, b))
-        self.entries[i:j] = [entry]
-        self._a[i:j] = [a]
-        self._b[i:j] = [b]
+        x = np.array(x, dtype=float)
+        self.rows[i:j] = [(a, b, f1, f2, *x.tolist())]
+        self.xs[i:j] = [x]
+        A[i:j] = [a]
+        B[i:j] = [b]
         self._hv += new - old
         return True
-
-    def _key(self, m: int) -> float | None:
-        """First normalized objective of entry ``m``; None past the end."""
-        return self.entries[m].normalized[0] if m < len(self.entries) else None
-
-    @staticmethod
-    def _contribution(point, next_key) -> float:
-        """Strip area of one entry in the (1, 1)-clipped sweep."""
-        a, b = point
-        if a >= 1.0 or b >= 1.0:
-            return 0.0
-        upper = 1.0 if next_key is None else min(1.0, next_key)
-        width = upper - a
-        return width * (1.0 - b) if width > 0.0 else 0.0
 
     def recompute_hypervolume(self) -> float:
         """From-scratch cross-check of the incremental hypervolume."""
         return hypervolume(
-            [normalize(e.objectives, self.ideal, self.nadir) for e in self.entries]
+            normalize(row[2:4], self.ideal, self.nadir) for row in self.rows
         )
+
+
+def _contribution(a: float, b: float, next_a: float) -> float:
+    """Strip area of entry (a, b) in the (1, 1)-clipped sweep, its right
+    neighbour's first objective being ``next_a``."""
+    if a >= 1.0 or b >= 1.0:
+        return 0.0
+    width = min(1.0, next_a) - a
+    return width * (1.0 - b) if width > 0.0 else 0.0

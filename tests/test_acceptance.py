@@ -12,9 +12,8 @@ import pytest
 
 from biobj.harness import (
     ExperimentConfig,
-    run_archive_evolver,
     run_experiment,
-    run_random_search,
+    run_optimizer,
 )
 from biobj.indicator import Archive, dominates, hypervolume
 from biobj.suite import (
@@ -155,10 +154,10 @@ def test_criterion_6_dominance_laws():
         check_at = set(np.geomspace(1, 10**4, 40, dtype=int))
         for step in range(1, 10**4 + 1):
             arch.insert(rng.uniform(size=2), tuple(rng.uniform(-0.1, 1.2, 2)))
-            bs = [e.normalized[1] for e in arch.entries]
+            bs = [row[1] for row in arch.rows]
             assert bs == sorted(bs, reverse=True)  # sortedness == non-domination
             if step in check_at:
-                pts = [e.normalized for e in arch.entries]
+                pts = [row[:2] for row in arch.rows]
                 for i, p in enumerate(pts):
                     for j, q in enumerate(pts):
                         if i != j:
@@ -221,18 +220,20 @@ def test_criterion_9_baseline_sanity():
     with _Verdict(9, "random-search regression interval and evolver pairing"):
         # Sphere/Sphere D=2, budget 1e4: pinned pilot interval.  Note the
         # analytic optimum for this pair under reference (1, 1) is 5/6.
-        record = run_random_search(instantiate_problem(1, 2, 1), 10**4, 1)
+        record = run_optimizer("random-search", instantiate_problem(1, 2, 1), 10**4, 1)
         assert RS_PINNED_INTERVAL[0] <= record.final_hv <= RS_PINNED_INTERVAL[1]
 
         for k in (1, 11):
             rs, ev = [], []
             for seed in range(1, 16):
                 rs.append(
-                    run_random_search(instantiate_problem(k, 2, 1), 2000, seed).final_hv
+                    run_optimizer(
+                        "random-search", instantiate_problem(k, 2, 1), 2000, seed
+                    ).final_hv
                 )
                 ev.append(
-                    run_archive_evolver(
-                        instantiate_problem(k, 2, 1), 2000, seed, 0.5
+                    run_optimizer(
+                        "archive-evolver", instantiate_problem(k, 2, 1), 2000, seed, 0.5
                     ).final_hv
                 )
             assert np.median(ev) >= np.median(rs)

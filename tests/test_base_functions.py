@@ -72,6 +72,17 @@ class TestInstantiation:
                 b = instantiate_base(20, kb, dim).x_opt
                 assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [2, 40])
+    @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
+    def test_cached_arrays_are_read_only(self, fn, dim):
+        # instantiate_base shares one instance with every caller.
+        inst = instantiate_base(fn, 1, dim)
+        arrays = [inst.x_opt, inst.x_row]
+        arrays += [v for v in inst.aux.values() if isinstance(v, np.ndarray)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+
     def test_gallagher_aux(self):
         inst = instantiate_base(21, 2, 5)
         assert inst.aux["centers"].shape == (101, 5)

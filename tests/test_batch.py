@@ -14,9 +14,8 @@ from biobj import harness
 from biobj.base_functions import BASE_FUNCTION_IDS, evaluate_base, instantiate_base
 from biobj.harness import (
     ExperimentConfig,
-    run_archive_evolver,
     run_experiment,
-    run_random_search,
+    run_optimizer,
 )
 from biobj.indicator import Archive
 from biobj.suite import SUITE_DIMS, instantiate_problem
@@ -95,7 +94,8 @@ def test_random_search_record_independent_of_chunk(monkeypatch):
         texts[chunk] = []
         for k in ALL_FUNCTION_PAIRS:
             problem = instantiate_problem(k, 3, 2)
-            texts[chunk].append(run_random_search(problem, 600, 5).to_text())
+            record = run_optimizer("random-search", problem, 600, 5)
+            texts[chunk].append(record.to_text())
             assert problem.eval_count == 600
     assert texts[1] == texts[7] == texts[default]
 
@@ -112,7 +112,7 @@ def test_random_search_inserts_only_archive_changes(monkeypatch, dim):
     monkeypatch.setattr(Archive, "insert", counted)
     for k in ALL_FUNCTION_PAIRS:
         calls.clear()
-        record = run_random_search(instantiate_problem(k, dim, 1), 600, 3)
+        record = run_optimizer("random-search", instantiate_problem(k, dim, 1), 600, 3)
         assert len(calls) == len(record.trace)
 
 
@@ -120,7 +120,7 @@ def _evolver_text(k, dim, budget, seed, sigma, spec):
     """Record text of an evolver run with blocks of up to ``spec`` rows."""
     problem = instantiate_problem(k, dim, 1)
     with mock.patch.object(harness, "SPEC", spec):
-        text = run_archive_evolver(problem, budget, seed, sigma).to_text()
+        text = run_optimizer("archive-evolver", problem, budget, seed, sigma).to_text()
     assert problem.eval_count == budget
     return text
 

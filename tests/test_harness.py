@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +14,8 @@ from biobj.harness import (
     RecordError,
     RunRecord,
     read_record,
-    run_archive_evolver,
     run_experiment,
-    run_random_search,
+    run_optimizer,
     write_record,
 )
 from biobj.report import EmptyResultsError, load_records, plot_front, summarize
@@ -27,24 +28,24 @@ def sphere_problem(dim=2, instance=1):
 
 class TestRandomSearch:
     def test_budget_one(self):
-        record = run_random_search(sphere_problem(), 1, 3)
+        record = run_optimizer("random-search", sphere_problem(), 1, 3)
         assert len(record.trace) == 1
         assert record.trace[0][0] == 1
         assert len(record.archive) == 1
 
     def test_deterministic(self):
-        a = run_random_search(sphere_problem(), 200, 7)
-        b = run_random_search(sphere_problem(), 200, 7)
+        a = run_optimizer("random-search", sphere_problem(), 200, 7)
+        b = run_optimizer("random-search", sphere_problem(), 200, 7)
         assert a.trace == b.trace
         assert a.to_text() == b.to_text()
 
     def test_budget_accounting(self):
         p = sphere_problem()
-        run_random_search(p, 321, 1)
+        run_optimizer("random-search", p, 321, 1)
         assert p.eval_count == 321
 
     def test_trace_monotone(self):
-        record = run_random_search(sphere_problem(), 2000, 5)
+        record = run_optimizer("random-search", sphere_problem(), 2000, 5)
         for prev, cur in zip(record.trace, record.trace[1:]):
             assert cur[0] > prev[0]
             assert cur[1] >= prev[1]
@@ -52,33 +53,41 @@ class TestRandomSearch:
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
-            run_random_search(sphere_problem(), 0, 1)
+            run_optimizer("random-search", sphere_problem(), 0, 1)
+
+    def test_sigma_ignored(self):
+        texts = {
+            run_optimizer("random-search", sphere_problem(), 200, 3, sigma).to_text()
+            for sigma in (harness.DEFAULT_SIGMA, 1e-3, 3.0)
+        }
+        assert len(texts) == 1
+        assert "sigma:" not in texts.pop()
 
 
 class TestArchiveEvolver:
     def test_budget_one_is_single_sample(self):
-        record = run_archive_evolver(sphere_problem(), 1, 9)
+        record = run_optimizer("archive-evolver", sphere_problem(), 1, 9)
         assert len(record.archive) == 1
 
     def test_deterministic(self):
-        a = run_archive_evolver(sphere_problem(), 300, 2, 0.5)
-        b = run_archive_evolver(sphere_problem(), 300, 2, 0.5)
+        a = run_optimizer("archive-evolver", sphere_problem(), 300, 2, 0.5)
+        b = run_optimizer("archive-evolver", sphere_problem(), 300, 2, 0.5)
         assert a.to_text() == b.to_text()
 
     def test_multimodal_pair_contract(self):
-        record = run_archive_evolver(instantiate_problem(55, 5, 1), 400, 1)
+        record = run_optimizer("archive-evolver", instantiate_problem(55, 5, 1), 400, 1)
         assert record.trace
         for prev, cur in zip(record.trace, record.trace[1:]):
             assert cur[0] > prev[0] and cur[1] >= prev[1]
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            run_archive_evolver(sphere_problem(), 10, 1, step_sigma=0.0)
+            run_optimizer("archive-evolver", sphere_problem(), 10, 1, sigma=0.0)
 
 
 class TestRecordIO:
     def test_roundtrip(self, tmp_path):
-        record = run_random_search(sphere_problem(3, 2), 150, 4)
+        record = run_optimizer("random-search", sphere_problem(3, 2), 150, 4)
         path = write_record(record, str(tmp_path))
         loaded = read_record(path)
         assert loaded == record
@@ -90,18 +99,27 @@ class TestRecordIO:
         assert len(loaded.archive[0]) == 2 + 2 + 3
 
     def test_evolver_sigma_roundtrip(self, tmp_path):
-        record = run_archive_evolver(sphere_problem(), 50, 1, 0.25)
+        record = run_optimizer("archive-evolver", sphere_problem(), 50, 1, 0.25)
         assert "sigma: 0.25\n" in record.to_text()
         assert read_record(write_record(record, str(tmp_path))).sigma == 0.25
 
     def test_monotonicity_checked_on_load(self, tmp_path):
-        record = run_random_search(sphere_problem(), 50, 1)
-        path = write_record(record, str(tmp_path))
-        text = open(path).read().replace("trace:", "trace:\n49 0.999", 1)
+        record = run_optimizer("random-search", sphere_problem(), 200, 1)
+        trace, mid = record.trace, len(record.trace) // 2
+        assert trace[0][0] == 1 and 0 < mid < len(trace) - 1
+        bad_traces = [
+            [(49, 0.999), *trace],
+            [(-3, -1.0), *trace],
+            [(0, -5.0), *trace],
+            [(0, 0.0), *trace],  # first index below 1
+            [(1, -1.0), *trace[1:]],  # first value below 0
+            [*trace[:mid], (trace[mid][0], math.nan), *trace[mid + 1 :]],
+        ]
         bad = tmp_path / "bad.rec"
-        bad.write_text(text)
-        with pytest.raises(RecordError):
-            read_record(str(bad))
+        for bad_trace in bad_traces:
+            bad.write_text(replace(record, trace=bad_trace).to_text())
+            with pytest.raises(RecordError, match="trace line"):
+                read_record(str(bad))
 
     def test_missing_header_field(self, tmp_path):
         bad = tmp_path / "bad.rec"
@@ -110,7 +128,7 @@ class TestRecordIO:
             read_record(str(bad))
 
     def test_non_positive_dim_rejected(self, tmp_path):
-        text = run_random_search(sphere_problem(), 20, 1).to_text()
+        text = run_optimizer("random-search", sphere_problem(), 20, 1).to_text()
         head, _, _ = text.partition("archive:\n")
         bad = tmp_path / "bad.rec"
         # With dim -3 a one-value row would have the expected width 4 + D.
@@ -128,28 +146,29 @@ class TestRecordIO:
         ],
     )
     def test_problem_fields_checked(self, key, bad, error):
-        lines = run_random_search(sphere_problem(), 20, 1).to_text().splitlines()
+        record = run_optimizer("random-search", sphere_problem(), 20, 1)
+        lines = record.to_text().splitlines()
         i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
         lines[i] = f"{key}: {bad}"
         with pytest.raises(RecordError, match=error):
             RunRecord.from_text("\n".join(lines) + "\n")
 
     def test_archive_row_width_checked(self, tmp_path):
-        text = run_random_search(sphere_problem(), 20, 1).to_text()
+        text = run_optimizer("random-search", sphere_problem(), 20, 1).to_text()
         bad = tmp_path / "bad.rec"
         bad.write_text(text + "0.5 0.5 1.0 1.0 0.0\n")  # D=2 needs 6 values
         with pytest.raises(RecordError, match="bad.rec"):
             read_record(str(bad))
 
     def test_archive_order_checked_on_load(self):
-        record = run_random_search(sphere_problem(), 200, 1)
+        record = run_optimizer("random-search", sphere_problem(), 200, 1)
         assert len(record.archive) >= 2
         record.archive[0], record.archive[1] = record.archive[1], record.archive[0]
         with pytest.raises(RecordError, match="non-dominated"):
             RunRecord.from_text(record.to_text())
 
     def test_final_hv_checked_against_archive(self):
-        record = run_random_search(sphere_problem(), 200, 1)
+        record = run_optimizer("random-search", sphere_problem(), 200, 1)
         i, hv = record.trace[-1]
         record.trace[-1] = (i, hv + 1e-9)  # still monotone
         with pytest.raises(RecordError, match="final hypervolume"):
@@ -219,7 +238,7 @@ class TestExperiment:
 
     def test_under_evaluating_optimizer_raises(self, tmp_path, monkeypatch):
         def short_run(name, problem, budget, seed, sigma):
-            return run_random_search(problem, budget - 1, seed)
+            return run_optimizer("random-search", problem, budget - 1, seed)
 
         monkeypatch.setattr(harness, "run_optimizer", short_run)
         config = ExperimentConfig(
@@ -285,7 +304,7 @@ class TestSummarize:
 
 class TestPlot:
     def test_structural_content(self, tmp_path):
-        record = run_random_search(sphere_problem(), 500, 1)
+        record = run_optimizer("random-search", sphere_problem(), 500, 1)
         path = write_record(record, str(tmp_path))
         out = str(tmp_path / "front.svg")
         plot_front(read_record(path), out)
@@ -296,7 +315,7 @@ class TestPlot:
         assert "Sphere" in svg
 
     def test_axis_labels_carry_function_names(self, tmp_path):
-        record = run_random_search(instantiate_problem(10, 2, 1), 200, 1)
+        record = run_optimizer("random-search", instantiate_problem(10, 2, 1), 200, 1)
         path = write_record(record, str(tmp_path))
         out = str(tmp_path / "front.svg")
         plot_front(read_record(path), out)
@@ -304,7 +323,7 @@ class TestPlot:
         assert "Sphere" in svg and "Gallagher 101 peaks" in svg
 
     def test_deterministic_bytes(self, tmp_path):
-        record = run_random_search(sphere_problem(), 100, 2)
+        record = run_optimizer("random-search", sphere_problem(), 100, 2)
         path = write_record(record, str(tmp_path))
         out1, out2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
         plot_front(read_record(path), out1)
@@ -454,7 +473,8 @@ class TestCli:
         assert usage.stderr.startswith("usage error: ")
         assert not out.exists()
 
-        rec = write_record(run_random_search(sphere_problem(), 20, 1), str(tmp_path))
+        record = run_optimizer("random-search", sphere_problem(), 20, 1)
+        rec = write_record(record, str(tmp_path))
         with open(rec) as fh:
             text = fh.read()
         with open(rec, "w") as fh:

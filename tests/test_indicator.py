@@ -142,7 +142,7 @@ class TestArchive:
         arch.insert([0.0], (0.5, 0.6))
         assert arch.insert([0.0], (0.5, 0.4)) is True
         assert len(arch) == 1
-        assert arch.entries[0].objectives == (0.5, 0.4)
+        assert arch.rows[0][2:4] == (0.5, 0.4)
 
     def test_worked_sequence(self):
         arch = self.unit_archive()
@@ -169,14 +169,15 @@ class TestArchive:
             arch.insert(rng.uniform(size=2), tuple(rng.uniform(-0.3, 1.4, 2)))
             assert arch.hypervolume_value >= hv_prev - 1e-15
             hv_prev = arch.hypervolume_value
-        keys = [e.normalized[0] for e in arch.entries]
-        bs = [e.normalized[1] for e in arch.entries]
+        keys = [row[0] for row in arch.rows]
+        bs = [row[1] for row in arch.rows]
         assert keys == sorted(keys)
         assert bs == sorted(bs, reverse=True)
-        for i, u in enumerate(arch.entries):
-            for j, v in enumerate(arch.entries):
+        for i, u in enumerate(arch.rows):
+            for j, v in enumerate(arch.rows):
                 if i != j:
-                    assert not dominates(u.normalized, v.normalized)
+                    assert not dominates(u[:2], v[:2])
+        assert [list(row[4:]) for row in arch.rows] == [x.tolist() for x in arch.xs]
 
     def test_incremental_matches_scratch(self):
         rng = np.random.default_rng(16)
@@ -201,7 +202,7 @@ class TestArchive:
     def test_raw_objectives_normalized_against_problem_scale(self):
         arch = Archive((10.0, -2.0), (20.0, 8.0))
         arch.insert([0.0], (10.0, 8.0))  # extreme point -> (0, 1)
-        assert arch.entries[0].normalized == (0.0, 1.0)
+        assert arch.rows[0][:2] == (0.0, 1.0)
         assert arch.hypervolume_value == 0.0
         arch.insert([0.0], (15.0, 3.0))  # midpoint -> (0.5, 0.5)
         assert arch.hypervolume_value == pytest.approx(0.25)
@@ -210,6 +211,17 @@ class TestArchive:
         arch = self.unit_archive()
         with pytest.raises(ValueError):
             arch.insert([0.0], (float("nan"), 0.5))
+
+    @pytest.mark.parametrize(
+        "ideal, nadir",
+        [((-math.inf, 0.0), (1.0, 1.0)), ((0.0, 0.0), (math.inf, 1.0))],
+    )
+    def test_rejects_non_finite_bounds(self, ideal, nadir):
+        # Accepted, these stored a NaN a_norm or reported HV 0.5 for (0.5, 0.5).
+        with pytest.raises(ValueError, match="must be finite"):
+            Archive(ideal, nadir)
+        with pytest.raises(ValueError, match="must be finite"):
+            normalize((0.5, 0.5), ideal, nadir)
 
 
 # Raw objectives on a grid of the archive below whose normalized values are
@@ -223,8 +235,7 @@ ragged_blocks = st.lists(st.lists(grid_rows, min_size=1, max_size=20), max_size=
 
 
 def _state(arch):
-    entries = [(e.x.tolist(), e.objectives, e.normalized) for e in arch.entries]
-    return entries, arch.hypervolume_value.hex()
+    return list(arch.rows), arch.hypervolume_value.hex()
 
 
 def _screened(blocks, first_change_only):
