@@ -8,8 +8,10 @@ matrices or peak layouts, all drawn from independent seeded streams.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,11 +58,11 @@ class UnknownFunctionError(ValueError):
 class BaseInstance:
     """One instantiated single-objective function.
 
-    Immutable after construction (``x_opt`` and every ``aux`` array are
-    read-only); evaluation is pure, so instances may be
-    shared freely across threads.  ``x_row`` and several ``aux`` vectors
-    are (1, D) rows: numpy broadcasts operands of equal ndim against a block
-    of rows faster, which matters for a batch of one.
+    Immutable after construction (``aux`` is a read-only mapping, and
+    ``x_opt`` and every ``aux`` array are read-only); evaluation is pure, so
+    instances may be shared freely across threads.  ``x_row`` and several
+    ``aux`` vectors are (1, D) rows: numpy broadcasts operands of equal ndim
+    against a block of rows faster, which matters for a batch of one.
     """
 
     fn: int
@@ -68,7 +70,7 @@ class BaseInstance:
     dim: int
     x_opt: np.ndarray
     f_opt: float
-    aux: dict
+    aux: Mapping
 
     @cached_property
     def x_row(self) -> np.ndarray:
@@ -154,7 +156,7 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
     for array in (x_opt, *aux.values()):
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
-    return BaseInstance(fn, instance_id, dim, x_opt, f_opt, aux)
+    return BaseInstance(fn, instance_id, dim, x_opt, f_opt, MappingProxyType(aux))
 
 
 def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:
@@ -186,7 +188,10 @@ def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:
     # Diagonal quadratic-form coefficients with ratio alpha, geometric mean 1.
     frac = np.arange(dim) / (dim - 1)
     coeffs = alphas[:, None] ** (frac[None, :] - 0.5)
-    return {"centers": centers, "heights": heights, "coeffs": coeffs}
+    # Stored (D, 101), the peak axis innermost, as _eval_gallagher uses them.
+    # The powers are taken in the (101, D) layout: at D = 2, numpy's pow
+    # rounds some of them differently when computed in the (D, 101) one.
+    return {"centers": centers.T.copy(), "heights": heights, "coeffs": coeffs.T.copy()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +221,15 @@ def evaluate_base(inst: BaseInstance, X) -> np.ndarray:
 # - sums, means and maxima reduce the last axis of a row block, one row at a
 #   time, through the ufunc method (``np.add.reduce``: the np.sum and np.mean
 #   wrappers cost more per call);
+# - a sum over an axis that is not innermost (Gallagher's D axis, with its
+#   101 peaks innermost) adds its terms in ``np.add.reduce``'s per-row order
+#   (``_sum_d_axis``): below 8 terms in sequence; from 8 on, into eight
+#   interleaved partial sums r0..r7, combined as
+#   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+#   terms in sequence.  numpy's pairwise summation splits further only past
+#   128 terms, and suite dimensions stop at 40;
+# - a stacked (D, D) @ (D, 101) gemm rounds each element as the transposed
+#   (101, D) @ (D, D) gemm does;
 # - a power of one value per row is C ``pow`` on Python floats (``_c_pow``):
 #   numpy's array power and square differ from it in the last bit for some
 #   inputs.
@@ -224,6 +238,29 @@ def evaluate_base(inst: BaseInstance, X) -> np.ndarray:
 def _rotate(m: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """``m @ z`` for each row z of ``Z``, as a stack of gemv products."""
     return (m @ Z[..., None])[..., 0]
+
+
+def _sum_d_axis(T: np.ndarray) -> np.ndarray:
+    """Sum of ``T`` over its second-last axis, each element added in the order
+    ``np.add.reduce`` adds a contiguous last axis, so with the same bits.
+
+    numpy reduces an axis that is not innermost in sequence, one slice at a
+    time; this builds the pairwise order of a contiguous axis from such
+    reductions.
+    """
+    n = T.shape[-2]
+    if n < 8:
+        return np.add.reduce(T, -2)
+    # r0..r7 as one (..., 8, M) block: column j sums terms j, j + 8, ...
+    end = n - n % 8
+    block = T[..., :end, :]
+    r = np.add.reduce(block.reshape(*block.shape[:-2], end // 8, 8, -1), -3)
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    acc = r[..., 0, :] + r[..., 1, :]
+    for k in range(end, n):
+        acc += T[..., k, :]
+    return acc
 
 
 def _c_pow(a: np.ndarray, p: float) -> np.ndarray:
@@ -299,14 +336,18 @@ _UNMAPPED_BYTES = 128 * 1024 - 1
 
 
 def _eval_gallagher(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    # (rows, 101, D) per slice: every row's peak offsets, rotated by one gemm
+    # (rows, D, 101) per slice: every row's peak offsets, rotated by one gemm
     # per row; a slice's temporaries stay under the mmap threshold.
     rows = max(1, _UNMAPPED_BYTES // (8 * C.N_PEAKS * inst.dim))
+    aux = inst.aux
     best = np.empty(len(X))
     for s in range(0, len(X), rows):
-        diff = (X[s : s + rows, None, :] - inst.aux["centers"]) @ inst.aux["rot"].T
-        q = np.add.reduce(inst.aux["coeffs"] * diff * diff, -1) / (2.0 * inst.dim)
-        best[s : s + rows] = np.maximum.reduce(inst.aux["heights"] * np.exp(-q), -1)
+        Y = aux["rot"] @ (X[s : s + rows, :, None] - aux["centers"])
+        q = _sum_d_axis(aux["coeffs"] * Y * Y)
+        q /= -2.0 * inst.dim  # -(q / 2D): the same bits
+        np.exp(q, out=q)
+        q *= aux["heights"]
+        best[s : s + rows] = np.maximum.reduce(q, -1)
     return _c_pow(t_osz(C.GLOBAL_PEAK_HEIGHT - best), 2) + boundary_penalty(X)
 
 

@@ -234,8 +234,9 @@ def _floats(text: str) -> tuple[float, ...]:
 
 #: Most rows random search draws and evaluates as one block.  On the 55 D = 2
 #: cells of 2000 evaluations, blocks of 64, 128, 256 and 512 rows ran at
-#: 200k, 232k, 251k and 252k evaluations/s; a 40000-evaluation D = 40
-#: Gallagher cell peaked at 35.8 MB RSS with 64 or 256 rows, 36.3 MB with 512.
+#: 362k, 481k, 497k and 577k evaluations/s (median of 7 interleaved
+#: in-process sweeps); a 40000-evaluation D = 40 Gallagher cell peaked at
+#: 36.0 MB RSS with 64 rows, 35.9 MB with 256 and 36.5 MB with 512.
 CHUNK = 256
 
 #: Most rows the archive evolver proposes from one archive and evaluates as
@@ -253,11 +254,13 @@ def run_optimizer(
 
     Each block of rows from ``_propose`` is evaluated as one batch and its
     rows are offered to the archive in order, except those an entry weakly
-    dominates (``insert`` would reject them).  When the rows depend on the
-    archive, the rows after one that changes it are dropped and not
-    counted, and the stream is rewound to that row's mark, so the record
-    has the same bytes for any block sizes.  Raises ValueError unless the
-    settings pass ``check_run_settings``.
+    dominates (``insert`` would reject them).  A block whose rows do not
+    depend on the archive is first screened in one numpy pass
+    (``Archive.dominated``), which leaves fewer rows to the per-row screen.
+    When the rows depend on the archive, the rows after one that changes it
+    are dropped and not counted, and the stream is rewound to that row's
+    mark, so the record has the same bytes for any block sizes.  Raises
+    ValueError unless the settings pass ``check_run_settings``.
     """
     if name == "random-search":
         sigma = None
@@ -271,9 +274,15 @@ def run_optimizer(
     i = 0
     while i < budget:
         X, marks = _propose(archive, rng, budget - i, pid.dim, sigma)
-        fa, fb = (f.tolist() for f in problem.evaluate(X))
+        fa, fb = problem.evaluate(X)
+        # Rows that do not depend on the archive are pre-screened in one
+        # pass; on evolver blocks (up to SPEC rows) it cost more than it saved.
+        rows = None
+        if marks is None:
+            rows = np.flatnonzero(~archive.dominated(fa, fb)).tolist()
+        fa, fb = fa.tolist(), fb.tolist()
         used = len(X)
-        for j in archive.undominated(fa, fb):
+        for j in archive.undominated(fa, fb, rows):
             if archive.insert(X[j], (fa[j], fb[j])):
                 trace.append((i + j + 1, archive.hypervolume_value))
                 if marks is not None:

@@ -103,9 +103,29 @@ class Archive:
             return None
         return k - 1 if k and self._a[k - 1] == a else k
 
-    def undominated(self, fa, fb):
-        """Yield, in order, the index of each row of raw objectives
-        ``fa``, ``fb`` (sequences of floats) that ``_place`` admits.
+    def dominated(self, fa, fb) -> np.ndarray:
+        """Boolean mask of the rows of raw objectives ``fa``, ``fb`` (float
+        arrays of shape (N,)) that an entry weakly dominates: those
+        ``_place`` rejects against the archive as it stands.  A row with a
+        non-finite value is never masked.
+
+        ``insert`` only grows the region the archive weakly dominates, so a
+        masked row stays rejected while later rows of its block are inserted.
+        """
+        if not self._a:
+            return np.zeros(len(fa), dtype=bool)
+        mask = np.isfinite(fa) & np.isfinite(fb)
+        a = (fa - self.ideal[0]) / self._span[0]
+        b = (fb - self.ideal[1]) / self._span[1]
+        k = np.searchsorted(self._a, a, side="right")
+        mask &= k > 0
+        mask &= np.array(self._b)[k - 1] <= b  # k == 0 reads the last, masked
+        return mask
+
+    def undominated(self, fa, fb, rows=None):
+        """Yield, in order, each index j of ``rows`` (default: every row) whose
+        row of raw objectives ``fa[j]``, ``fb[j]`` (sequences of floats)
+        ``_place`` admits.
 
         Each row is tested against the archive as it stands when the
         generator reaches it, so the rows it skips are exactly those
@@ -115,7 +135,8 @@ class Archive:
         ia, ib = self.ideal
         da, db = self._span
         place = self._place
-        for j, (f1, f2) in enumerate(zip(fa, fb)):
+        for j in range(len(fa)) if rows is None else rows:
+            f1, f2 = fa[j], fb[j]
             if (
                 place((f1 - ia) / da, (f2 - ib) / db) is not None
                 or not (math.isfinite(f1) and math.isfinite(f2))

@@ -83,19 +83,34 @@ class TestInstantiation:
             with pytest.raises(ValueError, match="read-only"):
                 array *= 2.0
 
+    @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
+    def test_cached_aux_mapping_is_read_only(self, fn):
+        # Rebinding a key of the shared instance's aux once changed the nadir
+        # of every later problem built on it.
+        aux = instantiate_base(fn, 1, 5).aux
+        for key in aux:
+            with pytest.raises(TypeError):
+                aux[key] = aux[key] * 2
+            with pytest.raises(TypeError):
+                del aux[key]
+        with pytest.raises(TypeError):
+            aux["new"] = 1.0
+
     def test_gallagher_aux(self):
         inst = instantiate_base(21, 2, 5)
-        assert inst.aux["centers"].shape == (101, 5)
+        # (D, 101): one column per peak
+        assert inst.aux["centers"].shape == (5, 101)
         assert inst.aux["heights"][0] == 10.0
         assert np.max(inst.aux["heights"]) == 10.0
         assert np.all(inst.aux["heights"][1:] >= 1.1)
         assert np.all(inst.aux["heights"][1:] <= 9.1)
         assert np.all(np.abs(inst.aux["centers"]) <= 4.9)
         # global peak center is the optimum
-        assert np.array_equal(inst.aux["centers"][0], inst.x_opt)
+        assert np.array_equal(inst.aux["centers"][:, 0], inst.x_opt)
         # per-peak conditioning ratios: global sqrt(1000), schedule max 1000
         coeffs = inst.aux["coeffs"]
-        ratios = coeffs[:, -1] / coeffs[:, 0]
+        assert coeffs.shape == (5, 101)
+        ratios = coeffs[-1] / coeffs[0]
         assert ratios[0] == pytest.approx(math.sqrt(1000.0), rel=1e-12)
         assert np.max(ratios[1:]) == pytest.approx(1000.0, rel=1e-12)
 

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biobj import harness
-from biobj.base_functions import BASE_FUNCTION_IDS, evaluate_base, instantiate_base
+from biobj.base_functions import (
+    BASE_FUNCTION_IDS,
+    _sum_d_axis,
+    evaluate_base,
+    instantiate_base,
+)
 from biobj.harness import (
     ExperimentConfig,
     run_experiment,
@@ -19,6 +24,7 @@ from biobj.harness import (
 )
 from biobj.indicator import Archive
 from biobj.suite import SUITE_DIMS, instantiate_problem
+from biobj.transforms import boundary_penalty, t_osz
 
 #: Five pairs that together use all 10 base functions once each.
 ALL_FUNCTION_PAIRS = (2, 21, 36, 47, 54)
@@ -53,12 +59,12 @@ def test_record_bytes_pinned(tmp_path):
 
 
 @st.composite
-def row_blocks(draw):
-    """An instance and a ragged block of rows: inside the box, outside it,
-    at the optimum and next to it."""
-    fn = draw(st.sampled_from(BASE_FUNCTION_IDS))
+def row_blocks(draw, fns=BASE_FUNCTION_IDS, instances=12):
+    """An instance of one of ``fns`` (ids 1..``instances``) and a ragged block
+    of rows: inside the box, outside it, at the optimum and next to it."""
+    fn = draw(st.sampled_from(fns))
     dim = draw(st.sampled_from(SUITE_DIMS))
-    inst = instantiate_base(fn, draw(st.integers(1, 12)), dim)
+    inst = instantiate_base(fn, draw(st.integers(1, instances)), dim)
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = rng.integers(4, size=n)
@@ -156,3 +162,61 @@ def test_gallagher_slice_boundaries(dim, rows):
         X = rng.uniform(-6, 6, (n, dim))
         single = np.concatenate([evaluate_base(inst, X[i : i + 1]) for i in range(n)])
         assert evaluate_base(inst, X).tobytes() == single.tobytes()
+
+
+def _gallagher_peak_axis_last(inst, X):
+    """Gallagher's 101 peaks as a (rows, 101, D) block, each row's offsets
+    rotated by one (101, D) @ (D, D) gemm and summed over the contiguous D
+    axis: the layout before the peak axis moved innermost."""
+    aux = inst.aux
+    centers, coeffs = (np.ascontiguousarray(aux[k].T) for k in ("centers", "coeffs"))
+    diff = (X[:, None, :] - centers) @ aux["rot"].T
+    q = np.add.reduce(coeffs * diff * diff, -1) / (2.0 * inst.dim)
+    best = np.maximum.reduce(aux["heights"] * np.exp(-q), -1)
+    core = np.array([v**2 for v in t_osz(10.0 - best).tolist()])
+    return core + boundary_penalty(X) + inst.f_opt
+
+
+#: sha256 over Gallagher's values in ``test_gallagher_values_pinned``, as
+#: computed with the peaks stored and evaluated as (101, D) arrays.
+PINNED_GALLAGHER_SHA256 = (
+    "78504098e3f893735a3946f814c57bc3bdece91ff97b6f41cf60cb58cc1bc1f1"
+)
+
+
+def test_gallagher_values_pinned():
+    # Pins the peak layout as well as the evaluation: a coefficient rounded
+    # differently once changed 4 of 2 640 sweep records and no other test.
+    digest = hashlib.sha256()
+    for dim in SUITE_DIMS:
+        for k in range(1, 16):
+            inst = instantiate_base(21, k, dim)
+            rng = np.random.default_rng([dim, k])
+            X = np.concatenate([
+                rng.uniform(-6.0, 6.0, (64, dim)),
+                inst.x_opt + rng.normal(0.0, 1e-2, (8, dim)),
+                inst.x_opt[None],
+            ])
+            digest.update(evaluate_base(inst, X).tobytes())
+    assert digest.hexdigest() == PINNED_GALLAGHER_SHA256
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_blocks(fns=(21,), instances=15))
+def test_gallagher_same_bits_as_peak_axis_last(block):
+    inst, X = block
+    expected = _gallagher_peak_axis_last(inst, X)
+    assert evaluate_base(inst, X).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_d_axis_sum_same_bits_as_add_reduce(n):
+    # Gallagher's record bytes rest on this order; a numpy release that sums
+    # a contiguous axis in another order fails here first.
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((60, 7, n)) * 10.0 ** rng.uniform(-20, 20, (60, 7, n))
+    A[rng.random(A.shape) < 0.05] = -0.0
+    expected = np.add.reduce(A, -1)
+    T = np.ascontiguousarray(A.transpose(0, 2, 1))
+    assert _sum_d_axis(T).tobytes() == expected.tobytes()
+    assert _sum_d_axis(T[0]).tobytes() == expected[0].tobytes()

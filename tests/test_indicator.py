@@ -297,3 +297,57 @@ class TestUndominated:
         with pytest.raises(ValueError):
             for j in arch.undominated(fa, fb):
                 arch.insert([0.0], (fa[j], fb[j]))
+
+
+# Grid rows and, now and then, one with a NaN or infinite objective.
+mixed_rows = st.one_of(
+    grid_rows,
+    st.tuples(
+        grid_rows, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 1)
+    ).map(lambda t: tuple(t[1] if c == t[2] else v for c, v in enumerate(t[0]))),
+)
+
+
+def _pre_screened(blocks, pre_screen):
+    """Accepted row indices, rows for which ``insert`` raised, and final
+    state, with or without ``dominated`` in front of ``undominated``."""
+    arch = Archive(IDEAL, NADIR)
+    accepted, offset = [], 0
+    for block in blocks:
+        fa, fb = [y[0] for y in block], [y[1] for y in block]
+        rows = None
+        if pre_screen:
+            rows = np.flatnonzero(~arch.dominated(np.array(fa), np.array(fb))).tolist()
+        for j in arch.undominated(fa, fb, rows):
+            try:
+                assert arch.insert([offset + j], (fa[j], fb[j])) is True
+            except ValueError:
+                accepted.append(("raised", offset + j))
+            else:
+                accepted.append(offset + j)
+        offset += len(block)
+    return accepted, _state(arch)
+
+
+class TestDominatedMask:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(grid_rows, max_size=20), st.lists(mixed_rows, min_size=1, max_size=20)
+    )
+    def test_masks_exactly_the_rows_place_rejects(self, archived, block):
+        arch = Archive(IDEAL, NADIR)
+        for y in archived:
+            arch.insert([0.0], y)
+        fa, fb = (np.array(column) for column in zip(*block))
+        mask = arch.dominated(fa, fb)
+        assert mask.dtype == bool and mask.shape == (len(block),)
+        da, db = NADIR[0] - IDEAL[0], NADIR[1] - IDEAL[1]
+        for j, (f1, f2) in enumerate(block):
+            rejected = arch._place((f1 - IDEAL[0]) / da, (f2 - IDEAL[1]) / db) is None
+            finite = math.isfinite(f1) and math.isfinite(f2)
+            assert bool(mask[j]) == (rejected and finite), (j, f1, f2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(mixed_rows, min_size=1, max_size=20), max_size=12))
+    def test_same_accepted_rows_and_hypervolume_with_and_without(self, blocks):
+        assert _pre_screened(blocks, True) == _pre_screened(blocks, False)
