@@ -330,15 +330,10 @@ def _eval_schwefel(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
     return core + C.SCHWEFEL_OFFSET + 100.0 * boundary_penalty(Z / 100.0)
 
 
-#: Bytes below glibc malloc's mmap threshold: a larger buffer is mapped and
-#: unmapped on every call, at a page fault per 4 KiB page.
-_UNMAPPED_BYTES = 128 * 1024 - 1
-
-
 def _eval_gallagher(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
     # (rows, D, 101) per slice: every row's peak offsets, rotated by one gemm
     # per row; a slice's temporaries stay under the mmap threshold.
-    rows = max(1, _UNMAPPED_BYTES // (8 * C.N_PEAKS * inst.dim))
+    rows = max(1, C.UNMAPPED_BYTES // (8 * C.N_PEAKS * inst.dim))
     aux = inst.aux
     best = np.empty(len(X))
     for s in range(0, len(X), rows):

@@ -83,3 +83,13 @@ PEAK_CONDITION_MAX = 1000.0
 # decimals).
 # ---------------------------------------------------------------------------
 F_OPT_CLIP = 1000.0
+
+# ---------------------------------------------------------------------------
+# Batch sizing.
+# ---------------------------------------------------------------------------
+#: Bytes below glibc malloc's mmap threshold: a larger buffer is mapped and
+#: unmapped on every call, at a page fault per 4 KiB page.  Random search
+#: draws blocks of as many rows as keep one (rows, D) float64 array under
+#: it, and Gallagher's function evaluates in row slices that keep its
+#: (rows, D, 101) temporaries under it.
+UNMAPPED_BYTES = 128 * 1024 - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import PENALTY_EDGE
+from .constants import PENALTY_EDGE, UNMAPPED_BYTES
 from .indicator import Archive, check_bounds, hypervolume
 from .suite import (
     BiObjProblem,
@@ -165,6 +165,10 @@ class RunRecord:
             raise RecordError(str(exc)) from None
         if (record.sigma is None) == (record.optimizer == "archive-evolver"):
             raise RecordError("'sigma:' belongs in exactly the archive-evolver records")
+        # A run of budget >= 1 inserts its first finite row, and every insert
+        # writes a trace line and leaves the archive non-empty.
+        if not (record.trace and record.archive):
+            raise RecordError("the trace and the archive must not be empty")
         prev_i, prev_hv = 0, 0.0
         for i, hv in record.trace:
             if not (i > prev_i and hv >= prev_hv):  # NaN fails the >=
@@ -173,7 +177,7 @@ class RunRecord:
                     "and values must not decrease from 0"
                 )
             prev_i, prev_hv = i, hv
-        if record.trace and record.trace[-1][0] > record.budget:
+        if record.trace[-1][0] > record.budget:
             raise RecordError("trace exceeds budget")
         (ia, ib), (na, nb) = record.ideal, record.nadir
         width = 4 + problem.dim
@@ -232,13 +236,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(map(float, text.split()))
 
 
-#: Most rows random search draws and evaluates as one block.  On the 55 D = 2
-#: cells of 2000 evaluations, blocks of 64, 128, 256 and 512 rows ran at
-#: 362k, 481k, 497k and 577k evaluations/s (median of 7 interleaved
-#: in-process sweeps); a 40000-evaluation D = 40 Gallagher cell peaked at
-#: 36.0 MB RSS with 64 rows, 35.9 MB with 256 and 36.5 MB with 512.
-CHUNK = 256
-
 #: Most rows the archive evolver proposes from one archive and evaluates as
 #: one block.  On D = 40 cells the archive changes every 4 to 6 evaluations
 #: (median), and blocks of 16 or 32 rows ran slower: more rows are dropped.
@@ -255,8 +252,10 @@ def run_optimizer(
     Each block of rows from ``_propose`` is evaluated as one batch and its
     rows are offered to the archive in order, except those an entry weakly
     dominates (``insert`` would reject them).  A block whose rows do not
-    depend on the archive is first screened in one numpy pass
-    (``Archive.dominated``), which leaves fewer rows to the per-row screen.
+    depend on the archive is first screened in one numpy pass against the
+    archive (``Archive.dominated``) and against its own earlier rows
+    (``Archive.dominated_in_block``), which leaves fewer rows to the
+    per-row screen.
     When the rows depend on the archive, the rows after one that changes it
     are dropped and not counted, and the stream is rewound to that row's
     mark, so the record has the same bytes for any block sizes.  Raises
@@ -279,7 +278,8 @@ def run_optimizer(
         # pass; on evolver blocks (up to SPEC rows) it cost more than it saved.
         rows = None
         if marks is None:
-            rows = np.flatnonzero(~archive.dominated(fa, fb)).tolist()
+            masked = archive.dominated(fa, fb) | archive.dominated_in_block(fa, fb)
+            rows = np.flatnonzero(~masked).tolist()
         fa, fb = fa.tolist(), fb.tolist()
         used = len(X)
         for j in archive.undominated(fa, fb, rows):
@@ -308,23 +308,25 @@ def run_optimizer(
 def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, sigma):
     """The next block of 1 to ``left`` rows, and the marks of its rows.
 
-    Random search (``sigma`` None) draws up to CHUNK uniform points of
-    [-5, 5]^d in one call, which takes the same stream values as one call per
-    point; its rows do not depend on the archive, so it has no marks.  The
-    archive evolver mutates up to SPEC uniformly chosen archive members by
-    Gaussian steps, marking each row with the state of ``rng``'s bit
-    generator after it; with an empty archive it draws one uniform point.
+    Random search (``sigma`` None) draws as many uniform points of [-5, 5]^d
+    in one call as keep the (rows, d) block under UNMAPPED_BYTES, which takes
+    the same stream values as one call per point; its rows do not depend on
+    the archive, so it has no marks.  The archive evolver mutates up to SPEC
+    uniformly chosen archive members by Gaussian steps, marking each row with
+    the state of ``rng``'s bit generator after it; with an empty archive it
+    draws one uniform point.
     """
     xs = archive.xs
     if sigma is None or not xs:
-        n = 1 if sigma is not None else min(left, CHUNK)
+        n = 1 if sigma is not None else min(left, max(1, UNMAPPED_BYTES // (8 * d)))
         return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (n, d)), None
-    X = np.empty((min(left, SPEC), d))
-    marks = []
-    for row in X:
-        row[:] = xs[rng.integers(len(xs))] + sigma * rng.standard_normal(d)
+    steps = np.empty((min(left, SPEC), d))
+    parents, marks = [], []
+    for step in steps:
+        parents.append(xs[rng.integers(len(xs))])
+        rng.standard_normal(out=step)
         marks.append(rng.bit_generator.state)
-    return X, marks
+    return np.array(parents) + sigma * steps, marks
 
 
 # ---------------------------------------------------------------------------

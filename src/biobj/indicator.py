@@ -122,6 +122,29 @@ class Archive:
         mask &= np.array(self._b)[k - 1] <= b  # k == 0 reads the last, masked
         return mask
 
+    def dominated_in_block(self, fa, fb) -> np.ndarray:
+        """Boolean mask of the rows of raw objectives ``fa``, ``fb`` (float
+        arrays of shape (N,)) that an earlier finite row of the same block
+        weakly dominates in normalized objectives.  Of the earlier rows only
+        three are tried: those with the least a, b and a + b.  A row with a
+        non-finite value is never masked.
+
+        When the rows are offered to ``insert`` in order, a masked row is
+        rejected: the earlier row that dominates it is in the archive by
+        then, or was removed or rejected by an entry that weakly dominates
+        it, and weak dominance is transitive.
+        """
+        finite = np.isfinite(fa) & np.isfinite(fb)
+        # NaN keeps a non-finite row out of every prefix minimum and fails
+        # every comparison, so it neither masks nor is masked.
+        a = np.where(finite, (fa - self.ideal[0]) / self._span[0], np.nan)
+        b = np.where(finite, (fb - self.ideal[1]) / self._span[1], np.nan)
+        mask = np.zeros(len(a), dtype=bool)
+        for key in (a, b, a + b):
+            i = _earlier_least(key)
+            mask |= (i >= 0) & (a[i] <= a) & (b[i] <= b)  # i == -1 reads the last
+        return mask
+
     def undominated(self, fa, fb, rows=None):
         """Yield, in order, each index j of ``rows`` (default: every row) whose
         row of raw objectives ``fa[j]``, ``fb[j]`` (sequences of floats)
@@ -186,6 +209,17 @@ class Archive:
         return hypervolume(
             normalize(row[2:4], self.ideal, self.nadir) for row in self.rows
         )
+
+
+def _earlier_least(key: np.ndarray) -> np.ndarray:
+    """For each j, the index of a row before j with the least ``key`` (NaN
+    skipped), or -1 if every row before j is NaN."""
+    low = np.fmin.accumulate(key)
+    # The latest row at the running minimum when it was reached holds it.
+    at = np.where(key == low, np.arange(len(key)), -1)
+    earlier = np.full(len(key), -1)
+    earlier[1:] = np.maximum.accumulate(at)[:-1]
+    return earlier
 
 
 def _contribution(a: float, b: float, next_a: float) -> float:

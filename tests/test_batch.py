@@ -23,7 +23,7 @@ from biobj.harness import (
     run_optimizer,
 )
 from biobj.indicator import Archive
-from biobj.suite import SUITE_DIMS, instantiate_problem
+from biobj.suite import SUITE_DIMS, BiObjProblem, instantiate_problem
 from biobj.transforms import boundary_penalty, t_osz
 
 #: Five pairs that together use all 10 base functions once each.
@@ -90,20 +90,50 @@ def test_row_value_independent_of_batch(block):
     assert full.tobytes() == single.tobytes()
 
 
+def _block_sizes(monkeypatch):
+    """The row count of each block passed to ``BiObjProblem.evaluate`` from
+    now on, in call order."""
+    sizes = []
+    evaluate = BiObjProblem.evaluate
+
+    def counted(self, X):
+        sizes.append(len(X))
+        return evaluate(self, X)
+
+    monkeypatch.setattr(BiObjProblem, "evaluate", counted)
+    return sizes
+
+
 def test_random_search_record_independent_of_chunk(monkeypatch):
-    # 600 evaluations: two full default blocks, then ragged last blocks for
-    # chunks 7 and the default.
-    default = harness.CHUNK
-    texts = {}
-    for chunk in (1, 7, default):
-        monkeypatch.setattr(harness, "CHUNK", chunk)
-        texts[chunk] = []
-        for k in ALL_FUNCTION_PAIRS:
-            problem = instantiate_problem(k, 3, 2)
-            record = run_optimizer("random-search", problem, 600, 5)
-            texts[chunk].append(record.to_text())
-            assert problem.eval_count == 600
-    assert texts[1] == texts[7] == texts[default]
+    # Blocks of 1 row, 7 rows (a ragged last block) and the default, set
+    # through the byte budget.  The default block holds all 600 evaluations
+    # at D = 3, and makes blocks of 409, 409 and 182 rows at D = 40.
+    sizes = _block_sizes(monkeypatch)
+    default_bytes = harness.UNMAPPED_BYTES
+    for dim, budget, default in ((3, 600, [600]), (40, 1000, [409, 409, 182])):
+        texts = {}
+        for rows in (1, 7, None):
+            if rows is None:
+                limit, blocks = default_bytes, default
+            else:
+                limit = 8 * dim * rows + 7
+                blocks = [min(rows, budget - s) for s in range(0, budget, rows)]
+            monkeypatch.setattr(harness, "UNMAPPED_BYTES", limit)
+            texts[rows] = []
+            for k in ALL_FUNCTION_PAIRS:
+                problem = instantiate_problem(k, dim, 2)
+                sizes.clear()
+                record = run_optimizer("random-search", problem, budget, 5)
+                assert sizes == blocks
+                assert problem.eval_count == budget
+                texts[rows].append(record.to_text())
+        assert texts[1] == texts[7] == texts[None]
+
+
+def test_default_d2_cell_is_one_block(monkeypatch):
+    sizes = _block_sizes(monkeypatch)
+    run_optimizer("random-search", instantiate_problem(12, 2, 1), 2000, 1)
+    assert sizes == [2000]
 
 
 @pytest.mark.parametrize("dim", [2, 40])

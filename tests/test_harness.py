@@ -127,6 +127,18 @@ class TestRecordIO:
         with pytest.raises(RecordError):
             read_record(str(bad))
 
+    @pytest.mark.parametrize(
+        "body", ["trace:\n1 0.0\narchive:\n", "trace:\narchive:\n"]
+    )
+    def test_empty_archive_rejected(self, tmp_path, body):
+        # Each passed every other check: no archive has a hypervolume of 0.
+        text = run_optimizer("random-search", sphere_problem(), 20, 1).to_text()
+        bad = tmp_path / "bad.rec"
+        bad.write_text(text.partition("trace:\n")[0] + body)
+        with pytest.raises(RecordError, match="must not be empty"):
+            read_record(str(bad))
+        assert main(["plot", str(bad), "--out", str(tmp_path / "front.svg")]) == 2
+
     def test_non_positive_dim_rejected(self, tmp_path):
         text = run_optimizer("random-search", sphere_problem(), 20, 1).to_text()
         head, _, _ = text.partition("archive:\n")

@@ -308,16 +308,20 @@ mixed_rows = st.one_of(
 )
 
 
-def _pre_screened(blocks, pre_screen):
+def _pre_screened(blocks, masks):
     """Accepted row indices, rows for which ``insert`` raised, and final
-    state, with or without ``dominated`` in front of ``undominated``."""
+    state, with the union of ``masks`` (``Archive`` mask methods, if any) in
+    front of ``undominated``."""
     arch = Archive(IDEAL, NADIR)
     accepted, offset = [], 0
     for block in blocks:
         fa, fb = [y[0] for y in block], [y[1] for y in block]
         rows = None
-        if pre_screen:
-            rows = np.flatnonzero(~arch.dominated(np.array(fa), np.array(fb))).tolist()
+        if masks:
+            masked = np.zeros(len(block), dtype=bool)
+            for mask in masks:
+                masked |= mask(arch, np.array(fa), np.array(fb))
+            rows = np.flatnonzero(~masked).tolist()
         for j in arch.undominated(fa, fb, rows):
             try:
                 assert arch.insert([offset + j], (fa[j], fb[j])) is True
@@ -350,4 +354,41 @@ class TestDominatedMask:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(mixed_rows, min_size=1, max_size=20), max_size=12))
     def test_same_accepted_rows_and_hypervolume_with_and_without(self, blocks):
-        assert _pre_screened(blocks, True) == _pre_screened(blocks, False)
+        assert (
+            _pre_screened(blocks, ())
+            == _pre_screened(blocks, (Archive.dominated,))
+            == _pre_screened(blocks, (Archive.dominated, Archive.dominated_in_block))
+        )
+
+
+class TestDominatedInBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(grid_rows, max_size=20), st.lists(mixed_rows, min_size=1, max_size=40)
+    )
+    def test_masked_rows_are_finite_and_rejected(self, archived, block):
+        arch = Archive(IDEAL, NADIR)
+        for y in archived:
+            arch.insert([0.0], y)
+        fa, fb = (np.array(column) for column in zip(*block))
+        mask = arch.dominated_in_block(fa, fb)
+        assert mask.dtype == bool and mask.shape == (len(block),)
+        for j, y in enumerate(block):
+            try:
+                accepted = arch.insert([0.0], y)
+            except ValueError:  # a non-finite row
+                assert not mask[j], (j, y)
+            else:
+                assert not (mask[j] and accepted), (j, y)
+
+    def test_masks_rows_an_earlier_least_row_dominates(self):
+        # Offsets from the ideal.  The NaN row first must not hide the rows
+        # after it from the minima.  Row 4 is dominated by row 3 (least
+        # a + b) alone, row 5 duplicates row 1 (least a), row 6 is dominated
+        # by row 2 (least b), and the infinite row 7 is never masked.
+        rows = [
+            (math.nan, 0), (1, 5), (5, 1), (2, 2), (3, 3), (1, 5), (6, 1), (math.inf, 9)
+        ]
+        fa, fb = (np.array([y[i] for y in rows]) + IDEAL[i] for i in (0, 1))
+        mask = Archive(IDEAL, NADIR).dominated_in_block(fa, fb)
+        assert np.flatnonzero(mask).tolist() == [4, 5, 6]
