@@ -153,7 +153,7 @@ def _cmd_plot(args) -> int:
     try:
         record = harness.read_record(args.record)
         report.plot_front(record, args.out)
-    except (harness.RecordError, report.EmptyArchiveError, ValueError) as exc:
+    except ValueError as exc:  # RecordError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -85,7 +85,7 @@ class RunRecord:
 
     @property
     def final_hv(self) -> float:
-        return self.trace[-1][1] if self.trace else 0.0
+        return self.trace[-1][1]
 
     @property
     def objectives(self) -> list[tuple[float, float]]:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 import sys
 
-import numpy as np
-
 from .harness import RecordError, RunRecord, read_record
 from .suite import BASE_FUNCTION_NAMES, function_pair
 
@@ -37,6 +35,29 @@ def load_records(results_dir: str, on_error=None) -> list[RunRecord]:
     return records
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of finite ``values``.
+
+    Linear interpolation between order statistics, numpy's default
+    percentile method, with its virtual index ``q * (n - 1)`` and its lerp,
+    so each value has the bits of ``np.percentile(values, [25, 50, 75])``.
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    if not last:
+        # numpy takes both neighbours at index -1 with weight 1: b - 0.0,
+        # which is the value itself, -0.0 included
+        return ordered[0], ordered[0], ordered[0]
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        index = last * q
+        j = int(index)
+        a, b = ordered[j], ordered[j + 1]
+        t = index - j
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return tuple(out)
+
+
 def summarize(results_dir: str, on_error=None) -> list[str]:
     """Median/IQR of final hypervolume per (group, dim, optimizer).
 
@@ -52,8 +73,8 @@ def summarize(results_dir: str, on_error=None) -> list[str]:
         cells.setdefault(key, []).append(rec.final_hv)
     lines = [SUMMARY_HEADER]
     for (group, dim, optimizer) in sorted(cells):
-        values = np.array(cells[(group, dim, optimizer)])
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        values = cells[(group, dim, optimizer)]
+        q1, med, q3 = quartiles(values)
         lines.append(
             f"{group}\t{dim}\t{optimizer}\t{len(values)}\t"
             f"{med:.6f}\t{q1:.6f}\t{q3:.6f}"
@@ -69,10 +90,6 @@ _W, _H = 640, 480
 _MARGIN = 70
 
 
-class EmptyArchiveError(ValueError):
-    """The record's final archive has no entries to plot."""
-
-
 def _scale(values, lo, hi, out_lo, out_hi):
     if hi == lo:
         return [0.5 * (out_lo + out_hi) for _ in values]
@@ -85,8 +102,6 @@ def plot_front(record: RunRecord, out_path: str) -> str:
     Ideal and nadir points are marked; axis labels carry the two base
     function names.  Output bytes are deterministic for a fixed record.
     """
-    if not record.archive:
-        raise EmptyArchiveError("record has an empty archive; nothing to plot")
     pid = record.problem
     fa, fb = function_pair(pid.pair_index)
     name_a, name_b = BASE_FUNCTION_NAMES[fa], BASE_FUNCTION_NAMES[fb]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import biobj
@@ -120,6 +121,30 @@ class TestRecordIO:
             bad.write_text(replace(record, trace=bad_trace).to_text())
             with pytest.raises(RecordError, match="trace line"):
                 read_record(str(bad))
+
+    @pytest.mark.parametrize("section", ["trace", "archive"])
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            lambda line: line.replace(".", ",", 1),
+            lambda line: line[: len(line) // 2] + "\x00" + line[len(line) // 2 :],
+        ],
+        ids=["comma", "nul"],
+    )
+    def test_malformed_line_in_long_section_named(self, tmp_path, section, garble):
+        # Two lines deep in a long section are garbled: the first is named.
+        text = run_optimizer("random-search", sphere_problem(), 2000, 1).to_text()
+        lines = text.splitlines()
+        start = lines.index(f"{section}:") + 1
+        end = lines.index("archive:") if section == "trace" else len(lines)
+        assert end - start > 100
+        mid = (start + end) // 2
+        lines[mid], lines[end - 1] = garble(lines[mid]), garble(lines[end - 1])
+        bad = tmp_path / "bad.rec"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordError) as exc:
+            read_record(str(bad))
+        assert str(exc.value) == f"{bad}: malformed {section} line: {lines[mid]!r}"
 
     def test_missing_header_field(self, tmp_path):
         bad = tmp_path / "bad.rec"
@@ -282,10 +307,18 @@ class TestSummarize:
         assert lines[0].startswith("group\tdim\toptimizer")
         groups = {ln.split("\t")[0] for ln in lines[1:]}
         assert groups == {"separable-separable", "moderate-moderate"}
+        cells = {}
+        for rec in load_records(out):
+            key = (rec.group, str(rec.problem.dim), rec.optimizer)
+            cells.setdefault(key, []).append(rec.final_hv)
+        assert len(lines) - 1 == len(cells)
         for ln in lines[1:]:
-            fields = ln.split("\t")
-            assert int(fields[3]) == 4  # 2 instances x 2 seeds
-            q1, med, q3 = float(fields[5]), float(fields[4]), float(fields[6])
+            group, dim, optimizer, n_runs, *stats = ln.split("\t")
+            # 2 instances x 2 seeds: quartile weights 0.75, 0.5 and 0.25,
+            # so both forms of the lerp are taken
+            assert int(n_runs) == 4
+            q1, med, q3 = np.percentile(cells[(group, dim, optimizer)], [25, 50, 75])
+            assert stats == [f"{med:.6f}", f"{q1:.6f}", f"{q3:.6f}"]
             assert q1 <= med <= q3
 
     def test_single_record_median(self, tmp_path):
