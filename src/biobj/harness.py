@@ -171,10 +171,13 @@ class RunRecord:
             raise RecordError("the trace and the archive must not be empty")
         prev_i, prev_hv = 0, 0.0
         for i, hv in record.trace:
-            if not (i > prev_i and hv >= prev_hv):  # NaN fails the >=
+            # NaN fails the >=; -0.0 passes it and would print as -0.000000.
+            if not (i > prev_i and hv >= prev_hv) or (
+                hv == 0.0 and math.copysign(1.0, hv) < 0.0
+            ):
                 raise RecordError(
                     f"trace line {i} {hv!r}: indices must increase from 1 "
-                    "and values must not decrease from 0"
+                    "and values must not decrease from 0 or be -0.0"
                 )
             prev_i, prev_hv = i, hv
         if record.trace[-1][0] > record.budget:
@@ -250,16 +253,13 @@ def run_optimizer(
     ignores it and records None.
 
     Each block of rows from ``_propose`` is evaluated as one batch and its
-    rows are offered to the archive in order, except those an entry weakly
-    dominates (``insert`` would reject them).  A block whose rows do not
-    depend on the archive is first screened in one numpy pass against the
-    archive (``Archive.dominated``) and against its own earlier rows
-    (``Archive.dominated_in_block``), which leaves fewer rows to the
-    per-row screen.
-    When the rows depend on the archive, the rows after one that changes it
-    are dropped and not counted, and the stream is rewound to that row's
-    mark, so the record has the same bytes for any block sizes.  Raises
-    ValueError unless the settings pass ``check_run_settings``.
+    rows are offered to ``Archive.insert`` in order.  A block whose rows do
+    not depend on the archive is first passed through ``Archive.screen``,
+    and only the rows it returns are offered; ``insert`` would reject the
+    others.  When the rows depend on the archive, the rows after one that
+    changes it are dropped and not counted, and the stream is rewound to
+    that row's mark, so the record has the same bytes for any block sizes.
+    Raises ValueError unless the settings pass ``check_run_settings``.
     """
     if name == "random-search":
         sigma = None
@@ -274,15 +274,11 @@ def run_optimizer(
     while i < budget:
         X, marks = _propose(archive, rng, budget - i, pid.dim, sigma)
         fa, fb = problem.evaluate(X)
-        # Rows that do not depend on the archive are pre-screened in one
-        # pass; on evolver blocks (up to SPEC rows) it cost more than it saved.
-        rows = None
-        if marks is None:
-            masked = archive.dominated(fa, fb) | archive.dominated_in_block(fa, fb)
-            rows = np.flatnonzero(~masked).tolist()
-        fa, fb = fa.tolist(), fb.tolist()
+        # Only rows that do not depend on the archive are screened; on
+        # evolver blocks (up to SPEC rows) the screen cost more than it saved.
+        rows = archive.screen(fa, fb) if marks is None else range(len(X))
         used = len(X)
-        for j in archive.undominated(fa, fb, rows):
+        for j in rows:
             if archive.insert(X[j], (fa[j], fb[j])):
                 trace.append((i + j + 1, archive.hypervolume_value))
                 if marks is not None:
@@ -365,8 +361,8 @@ def write_record(record: RunRecord, directory: str) -> str:
 def read_record(path: str) -> RunRecord:
     """Read and validate one record file; RecordError names the path."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
         return RunRecord.from_text(text)
     except (RecordError, UnicodeDecodeError) as exc:
         raise RecordError(f"{path}: {exc}") from None

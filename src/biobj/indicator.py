@@ -103,74 +103,38 @@ class Archive:
             return None
         return k - 1 if k and self._a[k - 1] == a else k
 
-    def dominated(self, fa, fb) -> np.ndarray:
-        """Boolean mask of the rows of raw objectives ``fa``, ``fb`` (float
-        arrays of shape (N,)) that an entry weakly dominates: those
-        ``_place`` rejects against the archive as it stands.  A row with a
-        non-finite value is never masked.
+    def screen(self, fa, fb) -> list[int]:
+        """Indices, in order, of the rows of raw objectives ``fa``, ``fb``
+        (float arrays of shape (N,)) left to offer to ``insert``.
 
-        ``insert`` only grows the region the archive weakly dominates, so a
-        masked row stays rejected while later rows of its block are inserted.
-        """
-        if not self._a:
-            return np.zeros(len(fa), dtype=bool)
-        mask = np.isfinite(fa) & np.isfinite(fb)
-        a = (fa - self.ideal[0]) / self._span[0]
-        b = (fb - self.ideal[1]) / self._span[1]
-        k = np.searchsorted(self._a, a, side="right")
-        mask &= k > 0
-        mask &= np.array(self._b)[k - 1] <= b  # k == 0 reads the last, masked
-        return mask
-
-    def dominated_in_block(self, fa, fb) -> np.ndarray:
-        """Boolean mask of the rows of raw objectives ``fa``, ``fb`` (float
-        arrays of shape (N,)) that an earlier finite row of the same block
-        weakly dominates in normalized objectives.  Of the earlier rows only
-        three are tried: those with the least a, b and a + b.  A row with a
-        non-finite value is never masked.
-
-        When the rows are offered to ``insert`` in order, a masked row is
-        rejected: the earlier row that dominates it is in the archive by
-        then, or was removed or rejected by an entry that weakly dominates
-        it, and weak dominance is transitive.
+        Masked out is each finite row that an entry weakly dominates as the
+        block starts, or that the earlier row of the block with the least
+        normalized a, b or a + b weakly dominates.  When the rows are offered
+        to ``insert`` in order, it rejects every masked row: ``insert``
+        only grows the region the archive weakly dominates, that earlier row
+        is in the archive by then or was removed or rejected by an entry that
+        weakly dominates it, and weak dominance is transitive.  A row with a
+        non-finite value is always kept, so that ``insert`` raises for it.
         """
         finite = np.isfinite(fa) & np.isfinite(fb)
         # NaN keeps a non-finite row out of every prefix minimum and fails
-        # every comparison, so it neither masks nor is masked.
+        # every comparison, so it neither masks a row nor is masked.
         a = np.where(finite, (fa - self.ideal[0]) / self._span[0], np.nan)
         b = np.where(finite, (fb - self.ideal[1]) / self._span[1], np.nan)
-        mask = np.zeros(len(a), dtype=bool)
+        masked = np.zeros(len(a), dtype=bool)
+        if self._a:  # k == 0 reads the last entry
+            k = np.searchsorted(self._a, a, side="right")
+            masked |= (k > 0) & (np.array(self._b)[k - 1] <= b)
         for key in (a, b, a + b):
             i = _earlier_least(key)
-            mask |= (i >= 0) & (a[i] <= a) & (b[i] <= b)  # i == -1 reads the last
-        return mask
-
-    def undominated(self, fa, fb, rows=None):
-        """Yield, in order, each index j of ``rows`` (default: every row) whose
-        row of raw objectives ``fa[j]``, ``fb[j]`` (sequences of floats)
-        ``_place`` admits.
-
-        Each row is tested against the archive as it stands when the
-        generator reaches it, so the rows it skips are exactly those
-        ``insert`` would reject.  A row with a non-finite value is yielded,
-        so that ``insert`` raises for it.
-        """
-        ia, ib = self.ideal
-        da, db = self._span
-        place = self._place
-        for j in range(len(fa)) if rows is None else rows:
-            f1, f2 = fa[j], fb[j]
-            if (
-                place((f1 - ia) / da, (f2 - ib) / db) is not None
-                or not (math.isfinite(f1) and math.isfinite(f2))
-            ):
-                yield j
+            masked |= (i >= 0) & (a[i] <= a) & (b[i] <= b)  # i == -1 reads the last
+        return np.flatnonzero(~masked).tolist()
 
     def insert(self, x, y) -> bool:
         """Offer one solution; True iff the archive composition changed."""
         f1, f2 = float(y[0]), float(y[1])
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise ValueError(f"objective values must be finite, got {y!r}")
+            raise ValueError(f"objective values must be finite, got {(f1, f2)!r}")
         a = (f1 - self.ideal[0]) / self._span[0]
         b = (f2 - self.ideal[1]) / self._span[1]
         i = self._place(a, b)

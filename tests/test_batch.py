@@ -22,7 +22,6 @@ from biobj.harness import (
     run_experiment,
     run_optimizer,
 )
-from biobj.indicator import Archive
 from biobj.suite import SUITE_DIMS, BiObjProblem, instantiate_problem
 from biobj.transforms import boundary_penalty, t_osz
 
@@ -134,22 +133,6 @@ def test_default_d2_cell_is_one_block(monkeypatch):
     sizes = _block_sizes(monkeypatch)
     run_optimizer("random-search", instantiate_problem(12, 2, 1), 2000, 1)
     assert sizes == [2000]
-
-
-@pytest.mark.parametrize("dim", [2, 40])
-def test_random_search_inserts_only_archive_changes(monkeypatch, dim):
-    calls = []
-    insert = Archive.insert
-
-    def counted(self, x, y):
-        calls.append(y)
-        return insert(self, x, y)
-
-    monkeypatch.setattr(Archive, "insert", counted)
-    for k in ALL_FUNCTION_PAIRS:
-        calls.clear()
-        record = run_optimizer("random-search", instantiate_problem(k, dim, 1), 600, 3)
-        assert len(calls) == len(record.trace)
 
 
 def _evolver_text(k, dim, budget, seed, sigma, spec):

@@ -115,12 +115,37 @@ class TestRecordIO:
             [(0, 0.0), *trace],  # first index below 1
             [(1, -1.0), *trace[1:]],  # first value below 0
             [*trace[:mid], (trace[mid][0], math.nan), *trace[mid + 1 :]],
+            [(trace[0][0], -0.0), *trace[1:]],  # passes >= 0.0
         ]
         bad = tmp_path / "bad.rec"
         for bad_trace in bad_traces:
             bad.write_text(replace(record, trace=bad_trace).to_text())
             with pytest.raises(RecordError, match="trace line"):
                 read_record(str(bad))
+
+    def test_negative_zero_final_value_rejected(self, tmp_path):
+        # A run whose archive never strictly dominates the nadir has HV 0
+        # throughout, so a last value of -0.0 matches its archive, and
+        # summarize would print -0.000000 for it.
+        record = run_optimizer("random-search", instantiate_problem(2, 40, 1), 40, 1)
+        assert {hv for _, hv in record.trace} == {0.0}
+        record.trace[-1] = (record.trace[-1][0], -0.0)
+        bad = tmp_path / "bad.rec"
+        bad.write_text(record.to_text())
+        with pytest.raises(RecordError, match=r"trace line \d+ -0\.0: "):
+            read_record(str(bad))
+
+    def test_non_utf8_byte_named_with_path(self, tmp_path):
+        text = run_optimizer("random-search", sphere_problem(), 20, 1).to_text()
+        at = text.index("trace:")
+        bad = tmp_path / "bad.rec"
+        bad.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        with pytest.raises(RecordError) as info:
+            read_record(str(bad))
+        assert str(info.value) == (
+            f"{bad}: 'utf-8' codec can't decode byte 0xff in position {at}: "
+            "invalid start byte"
+        )
 
     @pytest.mark.parametrize("section", ["trace", "archive"])
     @pytest.mark.parametrize(

@@ -231,72 +231,10 @@ IDEAL, NADIR = (10.0, -2.0), (20.0, 8.0)
 grid_rows = st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(
     lambda c: (IDEAL[0] + c[0], IDEAL[1] + c[1])
 )
-ragged_blocks = st.lists(st.lists(grid_rows, min_size=1, max_size=20), max_size=12)
 
 
 def _state(arch):
     return list(arch.rows), arch.hypervolume_value.hex()
-
-
-def _screened(blocks, first_change_only):
-    """Accepted row indices and final state with ``undominated`` in front
-    of ``insert``, as the runner offers its blocks."""
-    arch = Archive(IDEAL, NADIR)
-    accepted, offset = [], 0
-    for block in blocks:
-        fa, fb = [y[0] for y in block], [y[1] for y in block]
-        for j in arch.undominated(fa, fb):
-            # A row the screen admits always changes the archive.
-            assert arch.insert([offset + j], (fa[j], fb[j])) is True
-            accepted.append(offset + j)
-            if first_change_only:
-                break
-        offset += len(block)
-    return accepted, _state(arch)
-
-
-def _one_at_a_time(blocks, first_change_only):
-    arch = Archive(IDEAL, NADIR)
-    accepted, offset = [], 0
-    for block in blocks:
-        for j, y in enumerate(block):
-            if arch.insert([offset + j], y):
-                accepted.append(offset + j)
-                if first_change_only:
-                    break
-        offset += len(block)
-    return accepted, _state(arch)
-
-
-class TestUndominated:
-    @settings(max_examples=300, deadline=None)
-    @given(ragged_blocks, st.booleans())
-    def test_same_archive_as_inserting_every_row(self, blocks, first_change_only):
-        assert _screened(blocks, first_change_only) == _one_at_a_time(
-            blocks, first_change_only
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(grid_rows, max_size=10),
-        st.lists(grid_rows, max_size=10),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-        st.integers(0, 1),
-        st.booleans(),
-    )
-    def test_non_finite_row_reaches_insert(self, archived, block, bad, column, dominated):
-        # With an entry at the ideal every finite row is dominated, so only
-        # the non-finite check keeps the bad row from being skipped.
-        arch = Archive(IDEAL, NADIR)
-        for y in archived + ([IDEAL] if dominated else []):
-            arch.insert([0.0], y)
-        row = list(block[0] if block else IDEAL)
-        row[column] = bad
-        block = block + [tuple(row)]
-        fa, fb = [y[0] for y in block], [y[1] for y in block]
-        with pytest.raises(ValueError):
-            for j in arch.undominated(fa, fb):
-                arch.insert([0.0], (fa[j], fb[j]))
 
 
 # Grid rows and, now and then, one with a NaN or infinite objective.
@@ -308,78 +246,96 @@ mixed_rows = st.one_of(
 )
 
 
-def _pre_screened(blocks, masks):
+def _archive_of(rows):
+    arch = Archive(IDEAL, NADIR)
+    for y in rows:
+        arch.insert([0.0], y)
+    return arch
+
+
+def _columns(block):
+    return (np.array(column) for column in zip(*block))
+
+
+def _pre_screened(blocks, screen):
     """Accepted row indices, rows for which ``insert`` raised, and final
-    state, with the union of ``masks`` (``Archive`` mask methods, if any) in
-    front of ``undominated``."""
+    state, with ``Archive.screen`` in front of ``insert`` if ``screen``."""
     arch = Archive(IDEAL, NADIR)
     accepted, offset = [], 0
     for block in blocks:
-        fa, fb = [y[0] for y in block], [y[1] for y in block]
-        rows = None
-        if masks:
-            masked = np.zeros(len(block), dtype=bool)
-            for mask in masks:
-                masked |= mask(arch, np.array(fa), np.array(fb))
-            rows = np.flatnonzero(~masked).tolist()
-        for j in arch.undominated(fa, fb, rows):
+        rows = arch.screen(*_columns(block)) if screen else range(len(block))
+        for j in rows:
             try:
-                assert arch.insert([offset + j], (fa[j], fb[j])) is True
+                if arch.insert([offset + j], block[j]):
+                    accepted.append(offset + j)
             except ValueError:
                 accepted.append(("raised", offset + j))
-            else:
-                accepted.append(offset + j)
         offset += len(block)
     return accepted, _state(arch)
 
 
 class TestDominatedMask:
+    """``Archive.screen`` against the archive as the block starts."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(grid_rows, max_size=20), st.lists(mixed_rows, min_size=1, max_size=20)
     )
-    def test_masks_exactly_the_rows_place_rejects(self, archived, block):
-        arch = Archive(IDEAL, NADIR)
-        for y in archived:
-            arch.insert([0.0], y)
-        fa, fb = (np.array(column) for column in zip(*block))
-        mask = arch.dominated(fa, fb)
-        assert mask.dtype == bool and mask.shape == (len(block),)
+    def test_masks_every_finite_row_place_rejects(self, archived, block):
+        arch = _archive_of(archived)
+        rows = arch.screen(*_columns(block))
+        assert rows == sorted(set(rows)) and set(rows) <= set(range(len(block)))
         da, db = NADIR[0] - IDEAL[0], NADIR[1] - IDEAL[1]
         for j, (f1, f2) in enumerate(block):
             rejected = arch._place((f1 - IDEAL[0]) / da, (f2 - IDEAL[1]) / db) is None
             finite = math.isfinite(f1) and math.isfinite(f2)
-            assert bool(mask[j]) == (rejected and finite), (j, f1, f2)
+            if rejected and finite:
+                assert j not in rows, (j, f1, f2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(grid_rows, max_size=10),
+        st.lists(grid_rows, max_size=10),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 1),
+        st.booleans(),
+    )
+    def test_non_finite_row_reaches_insert(self, archived, block, bad, column, dominated):
+        # An entry at the ideal masks every finite row at or beyond it, so
+        # only the non-finite check keeps the bad row from being masked too.
+        arch = _archive_of(archived + ([IDEAL] if dominated else []))
+        row = list(block[0] if block else IDEAL)
+        row[column] = bad
+        block = block + [tuple(row)]
+        rows = arch.screen(*_columns(block))
+        assert rows[-1] == len(block) - 1
+        with pytest.raises(ValueError):
+            for j in rows:
+                arch.insert([0.0], block[j])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(mixed_rows, min_size=1, max_size=20), max_size=12))
     def test_same_accepted_rows_and_hypervolume_with_and_without(self, blocks):
-        assert (
-            _pre_screened(blocks, ())
-            == _pre_screened(blocks, (Archive.dominated,))
-            == _pre_screened(blocks, (Archive.dominated, Archive.dominated_in_block))
-        )
+        assert _pre_screened(blocks, False) == _pre_screened(blocks, True)
 
 
 class TestDominatedInBlock:
+    """``Archive.screen`` against the earlier rows of the block."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(grid_rows, max_size=20), st.lists(mixed_rows, min_size=1, max_size=40)
     )
     def test_masked_rows_are_finite_and_rejected(self, archived, block):
-        arch = Archive(IDEAL, NADIR)
-        for y in archived:
-            arch.insert([0.0], y)
-        fa, fb = (np.array(column) for column in zip(*block))
-        mask = arch.dominated_in_block(fa, fb)
-        assert mask.dtype == bool and mask.shape == (len(block),)
+        arch = _archive_of(archived)
+        rows = set(arch.screen(*_columns(block)))
         for j, y in enumerate(block):
             try:
                 accepted = arch.insert([0.0], y)
             except ValueError:  # a non-finite row
-                assert not mask[j], (j, y)
+                assert j in rows, (j, y)
             else:
-                assert not (mask[j] and accepted), (j, y)
+                assert j in rows or not accepted, (j, y)
 
     def test_masks_rows_an_earlier_least_row_dominates(self):
         # Offsets from the ideal.  The NaN row first must not hide the rows
@@ -390,5 +346,4 @@ class TestDominatedInBlock:
             (math.nan, 0), (1, 5), (5, 1), (2, 2), (3, 3), (1, 5), (6, 1), (math.inf, 9)
         ]
         fa, fb = (np.array([y[i] for y in rows]) + IDEAL[i] for i in (0, 1))
-        mask = Archive(IDEAL, NADIR).dominated_in_block(fa, fb)
-        assert np.flatnonzero(mask).tolist() == [4, 5, 6]
+        assert Archive(IDEAL, NADIR).screen(fa, fb) == [0, 1, 2, 3, 7]
