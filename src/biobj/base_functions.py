@@ -26,9 +26,6 @@ from .transforms import (
     uniform_stream,
 )
 
-#: Accepted function ids, in the ascending order used for pairing.
-BASE_FUNCTION_IDS = (1, 2, 6, 8, 13, 14, 15, 17, 20, 21)
-
 BASE_FUNCTION_NAMES = {
     1: "Sphere",
     2: "Ellipsoid separable",
@@ -41,6 +38,9 @@ BASE_FUNCTION_NAMES = {
     20: "Schwefel x*sin(x)",
     21: "Gallagher 101 peaks",
 }
+
+#: Accepted function ids, in the ascending order used for pairing.
+BASE_FUNCTION_IDS = tuple(BASE_FUNCTION_NAMES)
 
 # Stream tags: every drawn quantity of an instance gets its own stream.
 _TAG_X_OPT = 1

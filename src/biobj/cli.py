@@ -151,11 +151,11 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_plot(args) -> int:
     try:
-        record = harness.read_record(args.record)
-        report.plot_front(record, args.out)
+        lines = report.plot_front(harness.read_record(args.record))
     except ValueError as exc:  # RecordError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    _emit(lines, args.out)
     return EXIT_OK
 
 

@@ -185,12 +185,15 @@ class RunRecord:
         (ia, ib), (na, nb) = record.ideal, record.nadir
         width = 4 + problem.dim
         pa, pb = -math.inf, math.inf
-        for row in record.archive:
+        for n, row in enumerate(record.archive, 1):
             if len(row) != width:
                 raise RecordError(
                     f"archive row has {len(row)} values, expected {width}"
                 )
             a, b, f1, f2 = row[:4]
+            # Archive.insert's rule; an infinite f1 passes the check below.
+            if not (math.isfinite(f1) and math.isfinite(f2)):
+                raise RecordError(f"archive row {n} f1 f2 {(f1, f2)!r} must be finite")
             # indicator.normalize's arithmetic, inlined: this loop is the
             # per-row cost of every summarize.
             if (f1 - ia) / (na - ia) != a or (f2 - ib) / (nb - ib) != b:
@@ -388,6 +391,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.optimizers and self.seeds):
             raise ValueError("at least one optimizer and one seed are required")
+        # A repeated name or seed would run its cells again: keep the first.
+        self.optimizers = tuple(dict.fromkeys(self.optimizers))
+        self.seeds = tuple(dict.fromkeys(self.seeds))
         # A cell's budget is budget_multiplier x D with D >= 2, so every
         # budget passes the rule iff the multiplier does.
         for name in self.optimizers:

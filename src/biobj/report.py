@@ -96,11 +96,11 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
 
 
-def plot_front(record: RunRecord, out_path: str) -> str:
-    """Scatter the final archive in raw objective space as an SVG file.
+def plot_front(record: RunRecord) -> list[str]:
+    """Scatter the final archive in raw objective space as SVG lines.
 
     Ideal and nadir points are marked; axis labels carry the two base
-    function names.  Output bytes are deterministic for a fixed record.
+    function names.  The lines are deterministic for a fixed record.
     """
     pid = record.problem
     fa, fb = function_pair(pid.pair_index)
@@ -154,7 +154,4 @@ def plot_front(record: RunRecord, out_path: str) -> str:
         f'width="10" height="10" fill="crimson"/>'
     )
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(svg)
-    return out_path
+    return parts

@@ -87,11 +87,6 @@ def group_of(k: int) -> str:
     return f"{_CATEGORIES[(i - 1) // 2]}-{_CATEGORIES[(j - 1) // 2]}"
 
 
-def all_groups() -> list[str]:
-    """The 15 class labels in pair order."""
-    return list(dict.fromkeys(group_of(k) for k in range(1, N_PAIRS + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Instance-id arithmetic
 # ---------------------------------------------------------------------------
@@ -181,14 +176,6 @@ class BiObjProblem:
     nadir: tuple[float, float]
     eval_count: int = field(default=0)
 
-    @property
-    def dim(self) -> int:
-        return self.id.dim
-
-    @property
-    def group(self) -> str:
-        return group_of(self.id.pair_index)
-
     def evaluate(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Both objective values at each row of ``X`` (shape (N, D)).
 
@@ -277,6 +264,7 @@ def manifest_lines(ids) -> list[str]:
             f"{pid.pair_index} {pid.dim} {pid.instance} "
             f"{p.alpha.instance_id} {p.beta.instance_id} "
             f"{p.ideal[0]!r} {p.ideal[1]!r} {p.nadir[0]!r} {p.nadir[1]!r} "
-            f"{_xopt_checksum(p.alpha)} {_xopt_checksum(p.beta)} {p.group}"
+            f"{_xopt_checksum(p.alpha)} {_xopt_checksum(p.beta)} "
+            f"{group_of(pid.pair_index)}"
         )
     return lines

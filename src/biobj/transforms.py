@@ -25,13 +25,15 @@ from .constants import (
 
 _U64 = np.uint64
 _GAMMA = _U64(STREAM_GAMMA)
-_MUL1 = _U64(MIX_MULTIPLIER_1)
-_MUL2 = _U64(MIX_MULTIPLIER_2)
 
 
-def _mix64(z: int) -> int:
-    """Scalar 64-bit finalizer (same mixing as the vectorized stream)."""
-    z &= MASK64
+def _mix64(z):
+    """The 64-bit finalizer of both the seed hash and the stream.
+
+    ``z`` is a Python int or a uint64 array, mixed elementwise; on the array
+    the masks change nothing, as its arithmetic already wraps mod 2**64.
+    """
+    z = z & MASK64
     z = ((z ^ (z >> 30)) * MIX_MULTIPLIER_1) & MASK64
     z = ((z ^ (z >> 27)) * MIX_MULTIPLIER_2) & MASK64
     return z ^ (z >> 31)
@@ -58,10 +60,7 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = _U64(seed & MASK64) + idx * _GAMMA  # wraps mod 2^64
-    z = (z ^ (z >> _U64(30))) * _MUL1
-    z = (z ^ (z >> _U64(27))) * _MUL2
-    z = z ^ (z >> _U64(31))
+    z = _mix64(_U64(seed & MASK64) + idx * _GAMMA)  # wraps mod 2^64
     # keep the top 53 bits: exactly representable, in [0, 1)
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53
 

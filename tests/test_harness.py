@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -229,6 +230,14 @@ class TestRecordIO:
         with pytest.raises(RecordError, match="non-dominated"):
             RunRecord.from_text(record.to_text())
 
+    def test_infinite_objectives_rejected_on_load(self):
+        # (inf - ideal) / span == inf, so the normalization check passes
+        # a row whose f1 and a_norm are both infinite.
+        record = run_optimizer("random-search", sphere_problem(), 200, 1)
+        row = len(record.archive) + 1
+        with pytest.raises(RecordError, match=rf"archive row {row} f1 f2 \(inf, -inf\)"):
+            RunRecord.from_text(record.to_text() + "inf -inf inf -inf 0.5 0.5\n")
+
     def test_final_hv_checked_against_archive(self):
         record = run_optimizer("random-search", sphere_problem(), 200, 1)
         i, hv = record.trace[-1]
@@ -284,6 +293,21 @@ class TestExperiment:
         run_experiment(ExperimentConfig(**config))
         second = {n: open(os.path.join(out, n), "rb").read() for n in sorted(os.listdir(out))}
         assert first == second
+
+    def test_repeated_optimizers_and_seeds_run_once(self, tmp_path):
+        config = ExperimentConfig(
+            out_dir=str(tmp_path / "res"), functions=(1,), dims=(2,), instances=(1,),
+            optimizers=("archive-evolver", "random-search", "archive-evolver"),
+            seeds=(2, 1, 2), budget_multiplier=5,
+        )
+        assert config.optimizers == ("archive-evolver", "random-search")
+        assert config.seeds == (2, 1)
+        done = []
+        run_experiment(config, progress=done.append)
+        assert [(r.optimizer, r.seed) for r in done] == [
+            ("archive-evolver", 2), ("archive-evolver", 1),
+            ("random-search", 2), ("random-search", 1),
+        ]
 
     def test_empty_selection_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -376,9 +400,7 @@ class TestPlot:
     def test_structural_content(self, tmp_path):
         record = run_optimizer("random-search", sphere_problem(), 500, 1)
         path = write_record(record, str(tmp_path))
-        out = str(tmp_path / "front.svg")
-        plot_front(read_record(path), out)
-        svg = open(out).read()
+        svg = "\n".join(plot_front(read_record(path)))
         assert svg.count("front-point") == len(record.archive)
         assert svg.count("ideal-marker") == 1
         assert svg.count("nadir-marker") == 1
@@ -387,18 +409,13 @@ class TestPlot:
     def test_axis_labels_carry_function_names(self, tmp_path):
         record = run_optimizer("random-search", instantiate_problem(10, 2, 1), 200, 1)
         path = write_record(record, str(tmp_path))
-        out = str(tmp_path / "front.svg")
-        plot_front(read_record(path), out)
-        svg = open(out).read()
+        svg = "\n".join(plot_front(read_record(path)))
         assert "Sphere" in svg and "Gallagher 101 peaks" in svg
 
     def test_deterministic_bytes(self, tmp_path):
         record = run_optimizer("random-search", sphere_problem(), 100, 2)
         path = write_record(record, str(tmp_path))
-        out1, out2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-        plot_front(read_record(path), out1)
-        plot_front(read_record(path), out2)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert plot_front(read_record(path)) == plot_front(read_record(path))
 
 
 class TestCli:
@@ -445,6 +462,35 @@ class TestCli:
 
     def test_plot_missing_record_exit_code(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope.rec"), "--out", "x.svg"]) == 2
+
+    def test_plot_infinite_objectives_is_a_data_error(self, tmp_path, capsys):
+        rec = write_record(run_optimizer("random-search", sphere_problem(), 50, 1), str(tmp_path))
+        with open(rec, "a") as fh:
+            fh.write("inf -inf inf -inf 0.5 0.5\n")
+        svg = tmp_path / "front.svg"
+        assert main(["plot", rec, "--out", str(svg)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not svg.exists()
+
+    #: sha256 of ``summarize --out`` and ``plot`` on the run of
+    #: ``test_text_outputs_pinned``, as written before ``plot_front`` returned
+    #: its lines: the CLI writes both through one path.
+    SUMMARY_SHA = "05c1eaeb18d689846b73afae88a2465688869f2e536595c5b191bc7cad0533d3"
+    PLOT_SHA = "e224021ae8e4665f402cc2d669a0f76a572f476d88a08e34d8a842682955ba6d"
+
+    def test_text_outputs_pinned(self, tmp_path):
+        out = str(tmp_path / "res")
+        assert main(
+            ["run", "--functions", "1,20", "--dims", "2", "--instances", "1",
+             "--seeds", "1,2", "--optimizer", "random-search",
+             "--optimizer", "archive-evolver", "--budget-mult", "30", "--out", out]
+        ) == 0
+        tsv, svg = tmp_path / "s.tsv", tmp_path / "p.svg"
+        assert main(["summarize", out, "--out", str(tsv)]) == 0
+        rec = os.path.join(out, "k20_d02_i01_archive-evolver_s002.rec")
+        assert main(["plot", rec, "--out", str(svg)]) == 0
+        assert hashlib.sha256(tsv.read_bytes()).hexdigest() == self.SUMMARY_SHA
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == self.PLOT_SHA
 
     def test_record_without_ideal_line_is_a_data_error(self, tmp_path, capsys):
         out = str(tmp_path / "res")

@@ -95,10 +95,15 @@ def test_corrupt_records_fail_only_with_record_error(record, corruptions):
         for name in sorted(os.listdir(tmp)):
             try:
                 read_record(os.path.join(tmp, name))
+                accepted = True
             except RecordError:
-                pass
+                accepted = False
             svg = os.path.join(svgs, name + ".svg")
             assert main(["plot", os.path.join(tmp, name), "--out", svg]) in (0, 2)
+            if accepted:  # an accepted record plots finite coordinates
+                with open(svg) as fh:
+                    text = fh.read()
+                assert "nan" not in text and "inf" not in text
         messages = []
         loaded = load_records(tmp, on_error=messages.append)
         assert record in loaded

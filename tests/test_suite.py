@@ -10,7 +10,6 @@ from biobj.suite import (
     SuiteConsistencyError,
     _build,
     _pair_is_valid,
-    all_groups,
     compute_instance_pair,
     enumerate_suite,
     function_pair,
@@ -93,9 +92,6 @@ class TestGroups:
         assert sum(sizes) == 55
         all_members = sorted(k for v in self.FIXTURE.values() for k in v)
         assert all_members == list(range(1, 56))
-
-    def test_all_groups(self):
-        assert all_groups() == list(self.FIXTURE)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from biobj.constants import MASK64, STREAM_GAMMA
 from biobj.transforms import (
+    _mix64,
     boundary_penalty,
     derive_seed,
     diagonal_scaling,
@@ -16,6 +19,29 @@ from biobj.transforms import (
     t_osz,
     uniform_stream,
 )
+
+
+class TestMix64:
+    EDGES = [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+    def test_array_equals_scalar_per_element(self):
+        rng = np.random.default_rng(0)
+        randoms = rng.integers(0, 2**64, size=500, dtype=np.uint64, endpoint=False)
+        z = np.concatenate([np.array(self.EDGES, dtype=np.uint64), randoms])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # wrapping must warn about nothing
+            mixed = _mix64(z)
+        assert mixed.dtype == np.uint64
+        assert [int(v) for v in mixed] == [_mix64(int(v)) for v in z]
+
+    def test_stream_is_the_scalar_formula(self):
+        # output i is the top 53 bits of mix64(seed + (i+1) * gamma)
+        seed = 2**64 - 5
+        expected = [
+            (_mix64((seed + i * STREAM_GAMMA) & MASK64) >> 11) * 2.0**-53
+            for i in range(1, 9)
+        ]
+        assert uniform_stream(seed, 8).tolist() == expected
 
 
 class TestUniformStream:
