@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -60,9 +60,8 @@ class BaseInstance:
 
     Immutable after construction (``aux`` is a read-only mapping, and
     ``x_opt`` and every ``aux`` array are read-only); evaluation is pure, so
-    instances may be shared freely across threads.  ``x_row`` and several
-    ``aux`` vectors are (1, D) rows: numpy broadcasts operands of equal ndim
-    against a block of rows faster, which matters for a batch of one.
+    instances may be shared freely across threads.  ``x_opt`` and every
+    per-coordinate ``aux`` vector have shape (D,).
     """
 
     fn: int
@@ -71,11 +70,6 @@ class BaseInstance:
     x_opt: np.ndarray
     f_opt: float
     aux: Mapping
-
-    @cached_property
-    def x_row(self) -> np.ndarray:
-        """``x_opt`` as a (1, D) row."""
-        return self.x_opt[None]
 
 
 def _check_fn(fn: int) -> None:
@@ -132,7 +126,7 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
         aux["outer"] = q @ (lam10[:, None] * r)  # Q diag(lam) R
     elif fn == 14:
         aux["rot"] = random_rotation(seed_r, dim)
-        aux["exponents"] = (2.0 + 4.0 * np.arange(dim) / (dim - 1))[None]
+        aux["exponents"] = 2.0 + 4.0 * np.arange(dim) / (dim - 1)
     elif fn == 15:
         aux["rot"] = r = random_rotation(seed_r, dim)
         q = random_rotation(seed_q, dim)
@@ -146,9 +140,8 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
     elif fn == 8:
         aux["scale"] = max(1.0, math.sqrt(dim) / 8.0)
     elif fn == 20:
-        aux["lam"] = lam10[None]
-        aux["x_opt_sign"] = 2.0 * np.sign(x_opt)[None]  # +-2 per coordinate
-        aux["x_opt_abs"] = 2.0 * np.abs(x_opt)[None]  # 4.2096874633 per coordinate
+        aux["lam"] = lam10
+        aux["x_opt_sign"] = 2.0 * np.sign(x_opt)  # +-2 per coordinate
     elif fn == 21:
         aux.update(_gallagher_layout(instance_id, dim, x_opt))
         aux["rot"] = random_rotation(seed_r, dim)
@@ -269,48 +262,48 @@ def _c_pow(a: np.ndarray, p: float) -> np.ndarray:
 
 
 def _eval_sphere(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = X - inst.x_row
+    Z = X - inst.x_opt
     return np.vecdot(Z, Z)
 
 
 def _eval_ellipsoid(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = t_osz(X - inst.x_row)
+    Z = t_osz(X - inst.x_opt)
     return np.vecdot(inst.aux["weights"], Z * Z)
 
 
 def _eval_attractive_sector(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = _rotate(inst.aux["outer"], X - inst.x_row)
-    S = np.where(Z * inst.x_row > 0.0, 100.0, 1.0)
+    Z = _rotate(inst.aux["outer"], X - inst.x_opt)
+    S = np.where(Z * inst.x_opt > 0.0, 100.0, 1.0)
     SZ = S * Z
     return _c_pow(t_osz(np.vecdot(SZ, SZ)), 0.9)
 
 
 def _eval_rosenbrock(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = inst.aux["scale"] * (X - inst.x_row) + 1.0
+    Z = inst.aux["scale"] * (X - inst.x_opt) + 1.0
     head, tail = Z[:, :-1], Z[:, 1:]
     return np.add.reduce(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, -1)
 
 
 def _eval_sharp_ridge(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = _rotate(inst.aux["outer"], X - inst.x_row)
+    Z = _rotate(inst.aux["outer"], X - inst.x_opt)
     rest = Z[:, 1:]
     return _c_pow(Z[:, 0], 2) + 100.0 * np.sqrt(np.vecdot(rest, rest))
 
 
 def _eval_different_powers(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Z = _rotate(inst.aux["rot"], X - inst.x_row)
+    Z = _rotate(inst.aux["rot"], X - inst.x_opt)
     return np.sqrt(np.add.reduce(np.abs(Z) ** inst.aux["exponents"], -1))
 
 
 def _eval_rastrigin(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Y = t_asy(t_osz(_rotate(inst.aux["rot"], X - inst.x_row)), 0.2)
+    Y = t_asy(t_osz(_rotate(inst.aux["rot"], X - inst.x_opt)), 0.2)
     Z = _rotate(inst.aux["outer"], Y)
     cos_sum = np.add.reduce(np.cos(2.0 * np.pi * Z), -1)
     return 10.0 * (inst.dim - cos_sum) + np.vecdot(Z, Z)
 
 
 def _eval_schaffer(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    Y = t_asy(_rotate(inst.aux["rot"], X - inst.x_row), 0.5)
+    Y = t_asy(_rotate(inst.aux["rot"], X - inst.x_opt), 0.5)
     Z = _rotate(inst.aux["outer"], Y)
     Q = Z**2
     S = np.sqrt(Q[:, :-1] + Q[:, 1:])
@@ -320,10 +313,10 @@ def _eval_schaffer(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
 
 
 def _eval_schwefel(inst: BaseInstance, X: np.ndarray) -> np.ndarray:
-    opt2 = inst.aux["x_opt_abs"]
+    opt2 = 2.0 * C.SCHWEFEL_XOPT  # 2 |x_opt_i| in every coordinate
     xhat = inst.aux["x_opt_sign"] * X
     zhat = xhat.copy()
-    zhat[:, 1:] += 0.25 * (xhat[:, :-1] - opt2[:, :-1])
+    zhat[:, 1:] += 0.25 * (xhat[:, :-1] - opt2)
     Z = 100.0 * (inst.aux["lam"] * (zhat - opt2) + opt2)
     # -mean / 100, the sign moved into the divisor: the same bits.
     core = np.add.reduce(Z * np.sin(np.sqrt(np.abs(Z))), -1) / inst.dim / -100.0

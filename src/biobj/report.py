@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -93,7 +94,10 @@ _MARGIN = 70
 def _scale(values, lo, hi, out_lo, out_hi):
     if hi == lo:
         return [0.5 * (out_lo + out_hi) for _ in values]
-    return [out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
+    span = hi - lo
+    if math.isinf(span):  # finite bounds over 1.8e308 apart: halve them all
+        return _scale([0.5 * v for v in values], 0.5 * lo, 0.5 * hi, out_lo, out_hi)
+    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
 def plot_front(record: RunRecord) -> list[str]:

@@ -204,8 +204,8 @@ def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):
     # Cross-evaluation formula; valid because every base optimum is unique.
     # Python floats, as the manifest and record headers print their repr.
     nadir = (
-        float(evaluate_base(alpha, beta.x_row)[0]),
-        float(evaluate_base(beta, alpha.x_row)[0]),
+        float(evaluate_base(alpha, beta.x_opt[None])[0]),
+        float(evaluate_base(beta, alpha.x_opt[None])[0]),
     )
     if not (ideal[0] < nadir[0] and ideal[1] < nadir[1]):
         raise SuiteConsistencyError(

@@ -77,11 +77,27 @@ class TestInstantiation:
     def test_cached_arrays_are_read_only(self, fn, dim):
         # instantiate_base shares one instance with every caller.
         inst = instantiate_base(fn, 1, dim)
-        arrays = [inst.x_opt, inst.x_row]
+        arrays = [inst.x_opt]
         arrays += [v for v in inst.aux.values() if isinstance(v, np.ndarray)]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array *= 2.0
+
+    #: The aux entries with one value per coordinate.
+    PER_COORDINATE = {2: {"weights"}, 14: {"exponents"}, 20: {"lam", "x_opt_sign"}}
+
+    @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
+    def test_vectors_are_one_dimensional(self, fn):
+        # Each instance fact is stored once, as a (D,) vector: no (1, D) row.
+        for dim in SUITE_DIMS:
+            inst = instantiate_base(fn, 1, dim)
+            assert inst.x_opt.shape == (dim,)
+            for key in self.PER_COORDINATE.get(fn, ()):
+                assert inst.aux[key].shape == (dim,), (key, dim)
+            for key, value in inst.aux.items():
+                assert np.shape(value) != (1, dim), (key, dim)
+            if fn == 20:  # x_opt's magnitude is a constant, not an aux vector
+                assert inst.aux.keys() == self.PER_COORDINATE[20]
 
     @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
     def test_cached_aux_mapping_is_read_only(self, fn):

@@ -472,6 +472,29 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert not svg.exists()
 
+    @pytest.mark.parametrize(
+        "nadir, trace, archive",
+        [
+            # raw objectives over 1.8e308 apart: their span overflows
+            ("1.0 1.0", "1 0.0", ["-1e+308 1e+308 -1e+308 1e+308 0.0 0.0",
+                                  "1e+308 -1e+308 1e+308 -1e+308 0.0 0.0"]),
+            # a subnormal span, which halving would make 0
+            ("5e-324 5e-324", "1 1.0", ["0.0 0.0 0.0 0.0 0.0 0.0"]),
+        ],
+    )
+    def test_plot_coordinates_finite_at_extreme_spans(self, tmp_path, nadir, trace, archive):
+        rec = tmp_path / "extreme.rec"
+        rec.write_text(
+            "pair_index: 1\ndim: 2\ninstance: 1\ngroup: separable-separable\n"
+            "optimizer: random-search\nseed: 1\nbudget: 2\nideal: 0.0 0.0\n"
+            f"nadir: {nadir}\ntrace:\n{trace}\narchive:\n" + "\n".join(archive) + "\n"
+        )
+        svg = tmp_path / "front.svg"
+        assert main(["plot", str(rec), "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.count("front-point") == len(archive)
+        assert "nan" not in text and "inf" not in text
+
     #: sha256 of ``summarize --out`` and ``plot`` on the run of
     #: ``test_text_outputs_pinned``, as written before ``plot_front`` returned
     #: its lines: the CLI writes both through one path.
