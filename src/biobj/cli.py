@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``suite list``, ``suite manifest``, ``suite regen-instances``,
-``run``, ``summarize``, ``plot``.  Exit codes: 0 success, 1 usage error,
-2 data error.
+Subcommands: ``suite list``, ``suite manifest``, ``run``, ``summarize``,
+``plot``.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ def _build_parser() -> _Parser:
         p = suite_sub.add_parser(name)
         _add_filters(p)
         p.add_argument("--out", help="write to file instead of stdout")
-    suite_sub.add_parser(
-        "regen-instances",
-        help="recompute the instance-id table with the validity loop",
-    )
 
     p_run = sub.add_parser("run", help="run optimizers over suite problems")
     _add_filters(p_run)
@@ -103,14 +98,6 @@ def _emit(lines, out_path):
 
 
 def _cmd_suite(args) -> int:
-    if args.suite_command == "regen-instances":
-        from .suite import N_INSTANCES, compute_instance_pair
-
-        print("INSTANCE_PAIRS = {")
-        for k in range(1, N_INSTANCES + 1):
-            print(f"    {k}: {compute_instance_pair(k)},")
-        print("}")
-        return EXIT_OK
     ids = suite.enumerate_suite(args.functions, args.dims, args.instances)
     if args.suite_command == "list":
         lines = [

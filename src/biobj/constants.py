@@ -1,8 +1,9 @@
 """Shared numeric constants.
 
 Every magic number used by the generator lives here so the whole
-construction can be audited (and regenerated bit-identically) from a
-single place.
+construction can be audited from a single place.  It regenerates
+bit-identically on hosts with the same numpy SIMD loops, libm and BLAS
+kernels.
 """
 
 # ---------------------------------------------------------------------------

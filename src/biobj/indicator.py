@@ -65,10 +65,10 @@ class Archive:
     """Non-dominated archive bound to one problem's ideal/nadir points.
 
     Entries are kept sorted by the first normalized objective ascending
-    (hence second objective strictly descending).  Each entry is kept once,
-    in parallel lists in that order: ``rows`` holds its record row
+    (hence second objective strictly descending).  Four parallel lists hold
+    them in that order: ``rows`` each entry's record row
     ``(a_norm, b_norm, f1, f2, x_1, ..., x_D)`` of plain floats, ``xs`` its
-    decision vector, and ``_a``, ``_b`` its normalized objectives.
+    decision vector, and ``_a`` and ``_b`` its normalized objectives.
     """
 
     def __init__(self, ideal, nadir):

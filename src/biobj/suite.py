@@ -3,7 +3,7 @@
 A suite problem is named by (pair_index k in 1..55, dimension D, bi-objective
 instance K).  Pair index k maps to an ordered pair (i <= j) of positions in
 the 10-function list; instance K maps to a pair of single-objective instance
-ids through a shipped, generator-validated table.
+ids through ``INSTANCE_PAIRS``, a table the validity loop reproduces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._instance_pairs import INSTANCE_PAIRS
 from .base_functions import (
     BASE_FUNCTION_IDS,
     BASE_FUNCTION_NAMES,
@@ -107,17 +106,15 @@ def _pair_is_valid(k_alpha: int, k_beta: int) -> bool:
 def compute_instance_pair(biobj_instance: int) -> tuple[int, int]:
     """Derive the single-objective instance ids for one bi-objective id.
 
-    Ids 1 and 2 are the fixed historical exceptions (2, 4) and (3, 5).
+    Ids 1 and 2 are the historical exceptions, read from ``INSTANCE_PAIRS``.
     Otherwise the candidate (2K+1, 2K+2) is used, incrementing the second
     id until the validity conditions hold for every pair and dimension.
     The result is cached: each id's validity loop runs once per process.
     """
     if biobj_instance < 1:
         raise ValueError(f"instance id must be >= 1, got {biobj_instance}")
-    if biobj_instance == 1:
-        return (2, 4)
-    if biobj_instance == 2:
-        return (3, 5)
+    if biobj_instance <= 2:
+        return INSTANCE_PAIRS[biobj_instance]
     k_alpha = 2 * biobj_instance + 1
     k_beta = k_alpha + 1
     while not _pair_is_valid(k_alpha, k_beta):
@@ -125,11 +122,27 @@ def compute_instance_pair(biobj_instance: int) -> tuple[int, int]:
     return (k_alpha, k_beta)
 
 
+#: Ids 1..N_INSTANCES, as ``compute_instance_pair`` derives them; a test
+#: re-derives every entry.
+INSTANCE_PAIRS = {
+    1: (2, 4),
+    2: (3, 5),
+    3: (7, 8),
+    4: (9, 10),
+    5: (11, 12),
+    6: (13, 14),
+    7: (15, 16),
+    8: (17, 18),
+    9: (19, 20),
+    10: (21, 22),
+}
+
+
 def instance_map(biobj_instance: int) -> tuple[int, int]:
     """Single-objective instance ids (K_alpha, K_beta) for a bi-objective id.
 
-    Shipped ids come from the pre-validated table; ids beyond it are derived
-    on demand with the same validity loop.
+    Ids 1..10 come from ``INSTANCE_PAIRS``; ids beyond it are derived on
+    demand with the validity loop.
     """
     if biobj_instance in INSTANCE_PAIRS:
         return INSTANCE_PAIRS[biobj_instance]

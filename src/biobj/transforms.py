@@ -2,12 +2,11 @@
 
 All operations here are pure functions of their arguments: the random
 streams are counter-based, so regenerating any instance yields bit-identical
-results on every platform.
+results on hosts with the same numpy SIMD loops, libm and BLAS kernels.
+Other kernels may round the floating-point steps differently.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,17 +157,10 @@ def t_asy(v, beta: float) -> np.ndarray:
     # where= keeps the non-positive entries out of sqrt and pow; each
     # positive entry sees the same operations as in a per-element loop.
     e = np.sqrt(x, out=np.zeros(x.shape), where=pos)
-    e *= _asy_weights(beta, x.shape[-1])
+    d = x.shape[-1]
+    e *= beta * (np.arange(d) / (d - 1))
     e += 1.0
     return np.power(x, e, out=x.copy(), where=pos)
-
-
-@lru_cache(maxsize=None)
-def _asy_weights(beta: float, d: int) -> np.ndarray:
-    """beta * (i-1)/(D-1) for i = 1..D (read-only: the cache shares it)."""
-    w = beta * (np.arange(d) / (d - 1))
-    w.setflags(write=False)
-    return w
 
 
 def boundary_penalty(x) -> np.ndarray:

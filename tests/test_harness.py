@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import biobj
-from biobj import harness
-from biobj.cli import main
+from biobj import cli, harness
+from biobj.cli import _build_parser, main
 from biobj.harness import (
     ExperimentConfig,
     RecordError,
@@ -422,6 +424,28 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["run", "--out"]) == 1
+
+    def test_docs_name_exactly_the_parser_subcommands(self):
+        def leaves(parser, prefix=""):
+            names = set()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        names |= leaves(sub, prefix + name + " ") or {prefix + name}
+            return names
+
+        accepted = leaves(_build_parser())
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("## CLI\n", 1)[1].split("```")[1]
+        readme_names = set()
+        for line in block.splitlines():
+            if line.startswith("biobj "):
+                words = line.split()[1:3]
+                readme_names.add(words[0] if words[0] in accepted else " ".join(words))
+        doc = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes", 1)[0]
+        assert readme_names == accepted
+        assert set(re.findall(r"``([^`]+)``", doc)) == accepted
 
     def test_suite_list(self, capsys):
         assert main(["suite", "list", "--functions", "1", "--dims", "2"]) == 0

@@ -3,6 +3,7 @@ import pytest
 
 from biobj import suite
 from biobj.suite import (
+    INSTANCE_PAIRS,
     MANIFEST_HEADER,
     N_PAIRS,
     ProblemId,
@@ -21,7 +22,6 @@ from biobj.suite import (
     pair_name,
     unpair,
 )
-from biobj._instance_pairs import INSTANCE_PAIRS
 
 
 class TestPairing:
@@ -128,10 +128,9 @@ class TestInstanceMap:
         assert kb >= 20
 
     def test_shipped_table_matches_validity_loop(self):
-        # recompute two entries through the full loop (the rest are covered
-        # by regeneration; this keeps the test fast)
-        for k in (3, 9):
-            assert compute_instance_pair(k) == INSTANCE_PAIRS[k]
+        # every entry through the full loop; on a generator change, the
+        # assertion's diff prints the table to ship
+        assert {k: compute_instance_pair(k) for k in INSTANCE_PAIRS} == INSTANCE_PAIRS
 
     def test_extends_beyond_table(self):
         ka, kb = instance_map(11)
