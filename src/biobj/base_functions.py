@@ -153,7 +153,13 @@ def instantiate_base(fn: int, instance_id: int, dim: int) -> BaseInstance:
 
 
 def _gallagher_layout(instance_id: int, dim: int, x_opt: np.ndarray) -> dict:
-    """Peak centers, heights, and per-peak diagonal conditioning."""
+    """Peak centers, heights, and per-peak diagonal conditioning.
+
+    Departs from RR-6829's f21, which permutes the diagonal of each peak's
+    C_i at random: here every peak's diagonal is in ascending order, so all
+    peaks are narrowest along the same rotated axis (the last).  Mending it
+    changes every f21 value.
+    """
     n = C.N_PEAKS
     seed = derive_seed(21, instance_id, dim, _TAG_AUX)
     u = uniform_stream(seed, (n - 1) * dim + (n - 1))

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``suite list``, ``suite manifest``, ``run``, ``summarize``,
-``plot``.  Exit codes: 0 success, 1 usage error, 2 data error.
+``plot``.  Exit codes: 0 success, 1 usage error, 2 data error, 130
+interrupted (128 + SIGINT, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ from . import harness, report, suite
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-
-class _UsageError(Exception):
-    pass
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default exits with code 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _int_set(text: str) -> tuple[int, ...]:
@@ -90,6 +88,8 @@ def _add_filters(p: argparse.ArgumentParser) -> None:
 
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
+    # Not harness._write_atomic: its rename would replace a symlink (or, as
+    # root, /dev/stdout) with a regular file instead of writing through it.
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -129,7 +129,7 @@ def _cmd_summarize(args) -> int:
     try:
         lines = report.summarize(args.results_dir)
     except report.EmptyResultsError as exc:
-        print(exc, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         _emit([report.SUMMARY_HEADER], args.out)
         return EXIT_DATA
     _emit(lines, args.out)
@@ -137,23 +137,13 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        lines = report.plot_front(harness.read_record(args.record))
-    except ValueError as exc:  # RecordError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    _emit(lines, args.out)
+    _emit(report.plot_front(harness.read_record(args.record)), args.out)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "suite":
             return _cmd_suite(args)
         if args.command == "run":
@@ -161,12 +151,16 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return _cmd_summarize(args)
         return _cmd_plot(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # unreadable input or unwritable output
+    # RecordError is a ValueError, so this clause must come first.
+    except (harness.RecordError, OSError) as exc:  # bad input or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:  # argparse's errors and bad settings
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyboardInterrupt:  # record writes are atomic: no partial file
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,13 @@
 """Shared numeric constants.
 
-Every magic number used by the generator lives here so the whole
-construction can be audited from a single place.  It regenerates
-bit-identically on hosts with the same numpy SIMD loops, libm and BLAS
-kernels.
+The generator's tunable numbers: the random stream's mixer, the
+oscillation map, the search box, the Schwefel and Gaussian-peaks layouts,
+the optimal-value draw and the batch size.  Not every number is here: the
+separation thresholds live in ``suite.py``; the stream tags ``_TAG_*``,
+the conditioning 10 and the ``t_asy`` betas 0.2 and 0.5 in
+``base_functions.py``, beside the formulas that use them; the 1e-12 pivot
+in ``transforms.py``.  The construction regenerates bit-identically on
+hosts with the same numpy SIMD loops, libm and BLAS kernels.
 """
 
 # ---------------------------------------------------------------------------

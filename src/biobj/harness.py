@@ -52,13 +52,6 @@ def check_run_settings(optimizer: str, seed: int, budget: int, sigma=None) -> No
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
-#: Required header keys, in file order; an optional ``sigma`` may follow.
-_HEADER_FIELDS = (
-    "pair_index", "dim", "instance", "group", "optimizer", "seed", "budget",
-    "ideal", "nadir",
-)
-
-
 @dataclass
 class RunRecord:
     """One run: problem, optimizer settings, trace and final archive.
@@ -122,42 +115,33 @@ class RunRecord:
             at_archive = lines.index("archive:", at_trace)
         except ValueError:
             raise RecordError("missing 'trace:' or 'archive:' line") from None
-        header: dict[str, str] = {}
+        values = {}
         for line in lines[:at_trace]:
-            key, sep, value = line.partition(": ")
-            known = key in _HEADER_FIELDS or key == "sigma"
-            if not sep or not known or key in header:
+            key, sep, raw = line.partition(": ")
+            if not sep or key not in _HEADER or key in values:
                 raise RecordError(f"malformed header line {line!r}")
-            header[key] = value
-        for key in _HEADER_FIELDS:
-            if key not in header:
+            values[key] = _parse(_HEADER[key], raw, key)
+        for key in tuple(_HEADER)[:-1]:  # all but the optional sigma
+            if key not in values:
                 raise RecordError(f"missing header field {key!r}")
 
         try:  # the header must name a suite problem
             problem = ProblemId(
-                *(_parse(int, header[k], k) for k in ("pair_index", "dim", "instance"))
+                values.pop("pair_index"), values.pop("dim"), values.pop("instance")
             )
         except ValueError as exc:
             raise RecordError(str(exc)) from None
+        group = values.pop("group")
         record = cls(
-            problem=problem,
-            optimizer=header["optimizer"],
-            seed=_parse(int, header["seed"], "seed"),
-            budget=_parse(int, header["budget"], "budget"),
-            ideal=_parse(_float_pair, header["ideal"], "ideal"),
-            nadir=_parse(_float_pair, header["nadir"], "nadir"),
+            problem,
             trace=_parse_lines(
                 _trace_point, lines[at_trace + 1 : at_archive], "trace line"
             ),
             archive=_parse_lines(_floats, lines[at_archive + 1 :], "archive line"),
-            sigma=(
-                _parse(float, header["sigma"], "sigma") if "sigma" in header else None
-            ),
+            **values,
         )
-        if header["group"] != record.group:
-            raise RecordError(
-                f"group {header['group']!r} is not that of pair {problem.pair_index}"
-            )
+        if group != record.group:
+            raise RecordError(f"group {group!r} is not that of pair {problem.pair_index}")
         try:
             check_run_settings(record.optimizer, record.seed, record.budget, record.sigma)
             check_bounds(record.ideal, record.nadir)
@@ -240,6 +224,14 @@ def _trace_point(text: str) -> tuple[int, float]:
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(map(float, text.split()))
+
+
+#: Each header key, in file order, and its parser; ``sigma`` is optional.
+_HEADER = {
+    "pair_index": int, "dim": int, "instance": int, "group": str,
+    "optimizer": str, "seed": int, "budget": int,
+    "ideal": _float_pair, "nadir": _float_pair, "sigma": float,
+}
 
 
 #: Most rows the archive evolver proposes from one archive and evaluates as

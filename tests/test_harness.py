@@ -1,10 +1,13 @@
 import argparse
 import hashlib
+import importlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +109,14 @@ class TestRecordIO:
         record = run_optimizer("archive-evolver", sphere_problem(), 50, 1, 0.25)
         assert "sigma: 0.25\n" in record.to_text()
         assert read_record(write_record(record, str(tmp_path))).sigma == 0.25
+
+    @pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
+    def test_writer_and_header_table_agree(self, optimizer):
+        # A key added to only one of to_text and _HEADER shows here.
+        text = run_optimizer(optimizer, sphere_problem(), 20, 1).to_text()
+        keys = [line.split(": ")[0] for line in text.partition("trace:\n")[0].splitlines()]
+        expected = list(harness._HEADER)
+        assert keys == (expected if optimizer == "archive-evolver" else expected[:-1])
 
     def test_monotonicity_checked_on_load(self, tmp_path):
         record = run_optimizer("random-search", sphere_problem(), 200, 1)
@@ -483,6 +494,7 @@ class TestCli:
         assert main(["summarize", str(empty)]) == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("group\t")
+        assert captured.err == f"error: no readable records in {empty}\n"
 
     def test_plot_missing_record_exit_code(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope.rec"), "--out", "x.svg"]) == 2
@@ -647,6 +659,44 @@ class TestCli:
         assert data.returncode == 2, data.stderr
         assert data.stderr.startswith("error: ") and "seed" in data.stderr
         assert not svg.exists()
+
+    def test_interrupted_run_exit_code(self, tmp_path):
+        out = tmp_path / "res"
+        src = os.path.dirname(os.path.dirname(biobj.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biobj", "run", "--functions", "1-55",
+             "--dims", "40", "--instances", "1", "--seeds", "1",
+             "--budget-mult", "100", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("*.rec")) and proc.poll() is None:
+                assert time.monotonic() < deadline, "no record written"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == cli.EXIT_INTERRUPTED, err
+        assert err == "interrupted\n"
+        assert not list(out.glob("*.tmp"))
+        recs = sorted(out.glob("*.rec"))
+        assert 1 <= len(recs) < 55
+        for rec in recs:
+            read_record(str(rec))
+
+    def test_one_version_string(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            config = tomllib.load(fh)
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        module, _, name = attr.rpartition(".")
+        assert getattr(importlib.import_module(module), name) == biobj.__version__
 
     @pytest.mark.parametrize("bad", [["--sigma", "0"], ["--seeds=-1"]])
     def test_usage_error_writes_nothing(self, tmp_path, capsys, bad):
