@@ -9,7 +9,7 @@ ids through ``INSTANCE_PAIRS``, a table the validity loop reproduces.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -173,13 +173,13 @@ class ProblemId:
         return f"k{self.pair_index:02d}_d{self.dim:02d}_i{self.instance:02d}"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BiObjProblem:
     """A bi-objective problem: two base instances plus ideal/nadir points.
 
-    Evaluation increments ``eval_count``, so one handle must not be shared
-    mutably across threads; independent handles of the same ProblemId may
-    run in parallel.
+    A problem is immutable and ``evaluate`` has no side effect, so one
+    handle may be shared by any number of runs; each run counts its own
+    evaluations against its budget.
     """
 
     id: ProblemId
@@ -187,17 +187,11 @@ class BiObjProblem:
     beta: BaseInstance
     ideal: tuple[float, float]
     nadir: tuple[float, float]
-    eval_count: int = field(default=0)
 
     def evaluate(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Both objective values at each row of ``X`` (shape (N, D)).
-
-        Returns two arrays of shape (N,) and counts N evaluations.
-        """
-        fa = evaluate_base(self.alpha, X)
-        fb = evaluate_base(self.beta, X)
-        self.eval_count += len(fa)
-        return fa, fb
+        """Both objective values at each row of ``X`` (shape (N, D)), as two
+        arrays of shape (N,)."""
+        return evaluate_base(self.alpha, X), evaluate_base(self.beta, X)
 
 
 def _build(pair_idx: int, dim: int, k_alpha: int, k_beta: int):

@@ -1,6 +1,7 @@
 """Batch evaluation: a row's value does not depend on its batch, and no
 record byte depends on how the runner blocks its evaluations."""
 
+import contextlib
 import hashlib
 import os
 from unittest import mock
@@ -22,6 +23,7 @@ from biobj.harness import (
     run_experiment,
     run_optimizer,
 )
+from biobj.indicator import Archive
 from biobj.suite import SUITE_DIMS, BiObjProblem, instantiate_problem
 from biobj.transforms import boundary_penalty, t_osz
 
@@ -89,25 +91,58 @@ def test_row_value_independent_of_batch(block):
     assert full.tobytes() == single.tobytes()
 
 
-def _block_sizes(monkeypatch):
-    """The row count of each block passed to ``BiObjProblem.evaluate`` from
-    now on, in call order."""
-    sizes = []
-    evaluate = BiObjProblem.evaluate
+@contextlib.contextmanager
+def _blocks():
+    """Each block passed to ``BiObjProblem.evaluate`` inside the ``with``, in
+    call order, as a list: its row count, then the result of each
+    ``Archive.insert`` made after it."""
+    blocks = []
+    evaluate, insert = BiObjProblem.evaluate, Archive.insert
 
-    def counted(self, X):
-        sizes.append(len(X))
+    def evaluate_block(self, X):
+        blocks.append([len(X)])
         return evaluate(self, X)
 
-    monkeypatch.setattr(BiObjProblem, "evaluate", counted)
-    return sizes
+    def insert_row(self, x, y):
+        accepted = insert(self, x, y)
+        blocks[-1].append(accepted)
+        return accepted
+
+    with mock.patch.object(BiObjProblem, "evaluate", evaluate_block), mock.patch.object(
+        Archive, "insert", insert_row
+    ):
+        yield blocks
+
+
+def _kept_rows(blocks, optimizer) -> int:
+    """The evaluations a run keeps: every row of a random-search block, and
+    an evolver block's rows up to and including its first accepted row (all
+    of them when no row is accepted).  The evolver drops the rest."""
+    kept = 0
+    for rows, *accepted in blocks:
+        if optimizer == "archive-evolver" and True in accepted:
+            rows = accepted.index(True) + 1
+        kept += rows
+    return kept
+
+
+@pytest.mark.parametrize("spec", [1, harness.SPEC])
+@pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
+@pytest.mark.parametrize(
+    "k,dim,budget", [(1, 2, 1), (11, 2, 37), (55, 3, 150), (21, 40, 203)]
+)
+def test_kept_rows_equal_budget(k, dim, budget, optimizer, spec):
+    # The runner's loop is the one budget rule.  With SPEC rows, every case
+    # but the first ends in evolver blocks cut short to the rows left.
+    with _blocks() as blocks, mock.patch.object(harness, "SPEC", spec):
+        run_optimizer(optimizer, instantiate_problem(k, dim, 1), budget, 3)
+    assert _kept_rows(blocks, optimizer) == budget
 
 
 def test_random_search_record_independent_of_chunk(monkeypatch):
     # Blocks of 1 row, 7 rows (a ragged last block) and the default, set
     # through the byte budget.  The default block holds all 600 evaluations
     # at D = 3, and makes blocks of 409, 409 and 182 rows at D = 40.
-    sizes = _block_sizes(monkeypatch)
     default_bytes = harness.UNMAPPED_BYTES
     for dim, budget, default in ((3, 600, [600]), (40, 1000, [409, 409, 182])):
         texts = {}
@@ -120,27 +155,28 @@ def test_random_search_record_independent_of_chunk(monkeypatch):
             monkeypatch.setattr(harness, "UNMAPPED_BYTES", limit)
             texts[rows] = []
             for k in ALL_FUNCTION_PAIRS:
-                problem = instantiate_problem(k, dim, 2)
-                sizes.clear()
-                record = run_optimizer("random-search", problem, budget, 5)
-                assert sizes == blocks
-                assert problem.eval_count == budget
+                with _blocks() as evaluated:
+                    record = run_optimizer(
+                        "random-search", instantiate_problem(k, dim, 2), budget, 5
+                    )
+                assert [n for n, *_ in evaluated] == blocks
+                assert _kept_rows(evaluated, "random-search") == budget
                 texts[rows].append(record.to_text())
         assert texts[1] == texts[7] == texts[None]
 
 
-def test_default_d2_cell_is_one_block(monkeypatch):
-    sizes = _block_sizes(monkeypatch)
-    run_optimizer("random-search", instantiate_problem(12, 2, 1), 2000, 1)
-    assert sizes == [2000]
+def test_default_d2_cell_is_one_block():
+    with _blocks() as blocks:
+        run_optimizer("random-search", instantiate_problem(12, 2, 1), 2000, 1)
+    assert [n for n, *_ in blocks] == [2000]
 
 
 def _evolver_text(k, dim, budget, seed, sigma, spec):
     """Record text of an evolver run with blocks of up to ``spec`` rows."""
     problem = instantiate_problem(k, dim, 1)
-    with mock.patch.object(harness, "SPEC", spec):
+    with _blocks() as blocks, mock.patch.object(harness, "SPEC", spec):
         text = run_optimizer("archive-evolver", problem, budget, seed, sigma).to_text()
-    assert problem.eval_count == budget
+    assert _kept_rows(blocks, "archive-evolver") == budget
     return text
 
 

@@ -26,7 +26,16 @@ from biobj.harness import (
     write_record,
 )
 from biobj.report import EmptyResultsError, load_records, plot_front, summarize
-from biobj.suite import instantiate_problem
+from biobj.suite import BiObjProblem, instantiate_problem
+
+
+def _readme_block(heading):
+    """The first fenced block under README's ``## heading``, without its
+    language tag."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split(f"## {heading}\n", 1)[1].split("```")[1].partition("\n")[2]
 
 
 def sphere_problem(dim=2, instance=1):
@@ -46,10 +55,15 @@ class TestRandomSearch:
         assert a.trace == b.trace
         assert a.to_text() == b.to_text()
 
-    def test_budget_accounting(self):
-        p = sphere_problem()
-        run_optimizer("random-search", p, 321, 1)
-        assert p.eval_count == 321
+    def test_budget_accounting(self, monkeypatch):
+        # Random search keeps every row it evaluates.
+        sizes = []
+        evaluate = BiObjProblem.evaluate
+        monkeypatch.setattr(
+            BiObjProblem, "evaluate", lambda p, X: sizes.append(len(X)) or evaluate(p, X)
+        )
+        run_optimizer("random-search", sphere_problem(), 321, 1)
+        assert sum(sizes) == 321
 
     def test_trace_monotone(self):
         record = run_optimizer("random-search", sphere_problem(), 2000, 5)
@@ -335,18 +349,33 @@ class TestExperiment:
         with pytest.raises(ValueError, match="unknown optimizer 'cmaes'"):
             harness.run_optimizer("cmaes", sphere_problem(), 10, 1)
 
-    def test_under_evaluating_optimizer_raises(self, tmp_path, monkeypatch):
-        def short_run(name, problem, budget, seed, sigma):
-            return run_optimizer("random-search", problem, budget - 1, seed)
+    def test_shared_handle_same_records_as_fresh_handles(self):
+        cells = [(name, seed) for seed in (1, 2) for name in harness.OPTIMIZERS]
+        shared = instantiate_problem(36, 3, 2)
+        texts = {cell: set() for cell in cells}
+        for name, seed in cells + cells[::-1]:  # every cell twice, interleaved
+            texts[name, seed].add(run_optimizer(name, shared, 60, seed).to_text())
+        for name, seed in cells:
+            fresh = run_optimizer(name, instantiate_problem(36, 3, 2), 60, seed)
+            assert texts[name, seed] == {fresh.to_text()}
 
-        monkeypatch.setattr(harness, "run_optimizer", short_run)
+    def test_each_problem_built_once(self, tmp_path, monkeypatch):
+        built = []
+        instantiate = harness.instantiate_problem
+
+        def counted(*args):
+            built.append(args)
+            return instantiate(*args)
+
+        monkeypatch.setattr(harness, "instantiate_problem", counted)
         config = ExperimentConfig(
-            out_dir=str(tmp_path / "res"), functions=(1,), dims=(2,),
-            instances=(1,), seeds=(1,), budget_multiplier=5,
+            out_dir=str(tmp_path / "res"), functions=(1, 2), dims=(2,), instances=(1,),
+            optimizers=harness.OPTIMIZERS, seeds=(1, 2), budget_multiplier=5,
         )
-        # A checked error, not an assert, so it also fires under python -O.
-        with pytest.raises(RuntimeError, match="made 9 evaluations"):
-            run_experiment(config)
+        done = []
+        run_experiment(config, progress=done.append)
+        assert built == [(1, 2, 1), (2, 2, 1)]
+        assert len(done) == 8
 
 
 class TestSummarize:
@@ -446,17 +475,18 @@ class TestCli:
             return names
 
         accepted = leaves(_build_parser())
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            block = fh.read().split("## CLI\n", 1)[1].split("```")[1]
         readme_names = set()
-        for line in block.splitlines():
+        for line in _readme_block("CLI").splitlines():
             if line.startswith("biobj "):
                 words = line.split()[1:3]
                 readme_names.add(words[0] if words[0] in accepted else " ".join(words))
         doc = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes", 1)[0]
         assert readme_names == accepted
         assert set(re.findall(r"``([^`]+)``", doc)) == accepted
+
+    def test_readme_quick_start_runs(self, capsys):
+        exec(_readme_block("Library quick start"), {})
+        assert 0.0 < float(capsys.readouterr().out) <= 1.0
 
     def test_suite_list(self, capsys):
         assert main(["suite", "list", "--functions", "1", "--dims", "2"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,20 +204,21 @@ class TestProblems:
         assert fa_beta_opt == p.nadir[0]
         assert fb == p.ideal[1]
 
-    def test_evaluate_is_composition_and_counts(self):
+    def test_evaluate_is_composition(self):
         from biobj.base_functions import evaluate_base
 
         p = instantiate_problem(23, 5, 4)
         rng = np.random.default_rng(0)
-        assert p.eval_count == 0
         X = rng.uniform(-5, 5, (5, 5))
         fa, fb = p.evaluate(X)
         assert fa.shape == fb.shape == (5,)
         assert np.array_equal(fa, evaluate_base(p.alpha, X))
         assert np.array_equal(fb, evaluate_base(p.beta, X))
-        assert p.eval_count == 5
-        p.evaluate(X[:2])
-        assert p.eval_count == 7
+
+    def test_problem_is_frozen(self):
+        p = instantiate_problem(1, 2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.ideal = (0.0, 0.0)
 
     def test_gallagher_pair_uses_distinct_instances(self):
         p = instantiate_problem(55, 2, 3)
