@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 from .harness import RecordError, RunRecord, read_record
 from .suite import BASE_FUNCTION_NAMES, function_pair
@@ -16,24 +17,24 @@ class EmptyResultsError(ValueError):
     """No readable record files were found in the results directory."""
 
 
-def load_records(results_dir: str, on_error=None) -> list[RunRecord]:
-    """Read every ``*.rec`` file; bad files are reported and skipped."""
+def load_records(results_dir: str, on_error=None) -> Iterator[RunRecord]:
+    """Yield the readable ``*.rec`` records by file name; bad files are reported and skipped."""
     if not os.path.isdir(results_dir):
         raise NotADirectoryError(f"{results_dir} is not a directory")
-    records = []
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".rec"):
             continue
         path = os.path.join(results_dir, name)
         try:
-            records.append(read_record(path))
+            record = read_record(path)
         except (RecordError, OSError) as exc:
             message = f"skipping {path}: {exc}"
             if on_error is not None:
                 on_error(message)
             else:
                 print(message, file=sys.stderr)
-    return records
+            continue
+        yield record
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -62,19 +63,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(results_dir: str, on_error=None) -> list[str]:
     """Median/IQR of final hypervolume per (group, dim, optimizer).
 
-    Returns the table as tab-delimited lines (header first); raises
+    Records are read one at a time, so memory does not grow with their
+    number.  Returns the table as tab-delimited lines (header first); raises
     :class:`EmptyResultsError` when there is nothing to summarize.
     """
-    records = load_records(results_dir, on_error=on_error)
-    if not records:
-        raise EmptyResultsError(f"no readable records in {results_dir}")
     cells: dict[tuple[str, int, str], list[float]] = {}
-    for rec in records:
+    for rec in load_records(results_dir, on_error=on_error):
         key = (rec.group, rec.problem.dim, rec.optimizer)
         cells.setdefault(key, []).append(rec.final_hv)
+    if not cells:
+        raise EmptyResultsError(f"no readable records in {results_dir}")
     lines = [SUMMARY_HEADER]
-    for (group, dim, optimizer) in sorted(cells):
-        values = cells[(group, dim, optimizer)]
+    for (group, dim, optimizer), values in sorted(cells.items()):
         q1, med, q3 = quartiles(values)
         lines.append(
             f"{group}\t{dim}\t{optimizer}\t{len(values)}\t"

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,13 @@ from biobj.harness import (
     run_optimizer,
     write_record,
 )
-from biobj.report import EmptyResultsError, load_records, plot_front, summarize
+from biobj.report import (
+    SUMMARY_HEADER,
+    EmptyResultsError,
+    load_records,
+    plot_front,
+    summarize,
+)
 from biobj.suite import BiObjProblem, instantiate_problem
 
 
@@ -416,7 +423,7 @@ class TestSummarize:
         out = self.make_results(
             tmp_path, functions=(1,), instances=(1,), seeds=(1,)
         )
-        record = load_records(out)[0]
+        record = next(load_records(out))
         line = summarize(out)[1]
         assert float(line.split("\t")[4]) == pytest.approx(
             record.final_hv, abs=1e-6
@@ -427,6 +434,27 @@ class TestSummarize:
         empty.mkdir()
         with pytest.raises(EmptyResultsError):
             summarize(str(empty))
+
+    def test_memory_holds_one_record_at_a_time(self, tmp_path):
+        text = run_optimizer(
+            "archive-evolver", instantiate_problem(1, 40, 1), 4000, 1
+        ).to_text()
+        assert len(text) >= 50_000
+        peaks = []
+        for copies in (1, 20):
+            out = tmp_path / f"copies{copies}"
+            out.mkdir()
+            for n in range(copies):
+                (out / f"run{n:02d}.rec").write_text(text)
+            tracemalloc.start()
+            try:
+                lines = summarize(str(out))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert lines[1].split("\t")[3] == str(copies)
+        # a reader that holds all 20 parsed records peaks about 11x higher
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_corrupt_file_reported_and_skipped(self, tmp_path):
         out = self.make_results(tmp_path, functions=(1,), instances=(1,), seeds=(1,))
@@ -689,6 +717,20 @@ class TestCli:
         assert data.returncode == 2, data.stderr
         assert data.stderr.startswith("error: ") and "seed" in data.stderr
         assert not svg.exists()
+
+        regular = tmp_path / "regular.txt"
+        regular.write_text("not a directory\n")
+        for path in (tmp_path / "missing", regular):
+            proc = biobj_O("summarize", str(path))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == f"error: {path} is not a directory\n"
+            assert proc.stdout == ""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        proc = biobj_O("summarize", str(empty))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: no readable records")
+        assert proc.stdout == SUMMARY_HEADER + "\n"
 
     def test_interrupted_run_exit_code(self, tmp_path):
         out = tmp_path / "res"

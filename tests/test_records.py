@@ -105,6 +105,6 @@ def test_corrupt_records_fail_only_with_record_error(record, corruptions):
                     text = fh.read()
                 assert "nan" not in text and "inf" not in text
         messages = []
-        loaded = load_records(tmp, on_error=messages.append)
+        loaded = list(load_records(tmp, on_error=messages.append))
         assert record in loaded
         assert len(loaded) + len(messages) == 1 + len(corruptions)
