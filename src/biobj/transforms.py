@@ -8,6 +8,8 @@ Other kernels may round the floating-point steps differently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import (
@@ -86,8 +88,9 @@ def random_rotation(seed: int, dim: int) -> np.ndarray:
     """Draw a random ``dim x dim`` orthogonal matrix.
 
     A Gaussian matrix is filled row-major and orthonormalized with modified
-    Gram-Schmidt.  On a degenerate draw (pivot norm below 1e-12) the whole
-    construction restarts with seed+1, preserving determinism.
+    Gram-Schmidt, each finished row subtracted from all later rows at once.
+    On a degenerate draw (pivot norm below 1e-12) the whole construction
+    restarts with seed+1, preserving determinism.
     """
     if dim < 1:
         raise ValueError(f"rotation dimension must be >= 1, got {dim}")
@@ -100,14 +103,22 @@ def random_rotation(seed: int, dim: int) -> np.ndarray:
 
 
 def _gram_schmidt_rows(a: np.ndarray) -> bool:
-    """Orthonormalize the rows of ``a`` in place; False on a tiny pivot."""
+    """Orthonormalize the rows of ``a`` in place; False on a tiny pivot.
+
+    Row i is divided by sqrt(a_i @ a_i) (``np.linalg.norm``'s formula), then
+    its projection leaves all later rows in one step.  Each row gets the same
+    subtractions in the same order as from the row-by-row loop
+    ``a[i] -= (a[i] @ a[j]) * a[j]``, j < i, with the same bits: ``np.vecdot``
+    rounds like the 1-D ``@`` (see ``base_functions``' evaluator comments).
+    """
     for i in range(a.shape[0]):
-        for j in range(i):
-            a[i] -= (a[i] @ a[j]) * a[j]
-        norm = np.linalg.norm(a[i])
+        row = a[i]
+        norm = math.sqrt(row @ row)
         if norm < 1e-12:
             return False
-        a[i] /= norm
+        row /= norm
+        rest = a[i + 1 :]
+        rest -= np.vecdot(rest, row)[:, None] * row
     return True
 
 

@@ -1,4 +1,8 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from biobj import transforms
 from biobj.constants import MASK64, STREAM_GAMMA
+from biobj.suite import SUITE_DIMS
 from biobj.transforms import (
+    _gram_schmidt_rows,
     _mix64,
     boundary_penalty,
     derive_seed,
@@ -91,6 +98,40 @@ class TestGaussianStream:
         assert gaussian_stream(3, 7).shape == (7,)
 
 
+def _gram_schmidt_rows_reference(a):
+    # The row-by-row modified Gram-Schmidt that _gram_schmidt_rows replaced:
+    # row i takes its projections onto rows 0..i-1, one at a time, and is
+    # then normalized.  random_rotation's bytes are pinned to this loop.
+    for i in range(a.shape[0]):
+        for j in range(i):
+            a[i] -= (a[i] @ a[j]) * a[j]
+        norm = np.linalg.norm(a[i])
+        if norm < 1e-12:
+            return False
+        a[i] /= norm
+    return True
+
+
+def _reference_rotation(seed, dim):
+    a = gaussian_stream(seed, dim * dim).reshape(dim, dim)
+    assert _gram_schmidt_rows_reference(a)  # no tested seed is degenerate
+    return a
+
+
+# Printed by a child process: for a few seeds, the digest of each loop's D=40
+# rotation.
+_KERNEL_CHILD = """
+import hashlib
+import numpy as np
+from biobj.transforms import gaussian_stream, random_rotation
+{reference}
+{rotation}
+for seed in range(4):
+    print(hashlib.sha256(random_rotation(seed, 40).tobytes()).hexdigest(),
+          hashlib.sha256(_reference_rotation(seed, 40).tobytes()).hexdigest())
+"""
+
+
 class TestRandomRotation:
     def test_dim_one(self):
         r = random_rotation(11, 1)
@@ -101,7 +142,7 @@ class TestRandomRotation:
         with pytest.raises(ValueError):
             random_rotation(11, 0)
 
-    @pytest.mark.parametrize("dim", [2, 5, 20])
+    @pytest.mark.parametrize("dim", SUITE_DIMS)
     def test_orthogonality_and_isometry_over_seeds(self, dim):
         rng = np.random.default_rng(dim)
         for seed in range(100):
@@ -113,6 +154,73 @@ class TestRandomRotation:
 
     def test_deterministic(self):
         assert np.array_equal(random_rotation(8, 10), random_rotation(8, 10))
+
+    @pytest.mark.parametrize("dim", (1,) + SUITE_DIMS)
+    def test_bytes_equal_the_row_by_row_loop(self, dim):
+        for seed in range(50):
+            expected = _reference_rotation(seed, dim).tobytes()
+            assert random_rotation(seed, dim).tobytes() == expected, seed
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"OPENBLAS_CORETYPE": "Haswell"},
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(
+                f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                # numpy refuses to disable a baseline feature at import
+                if f not in np._core._multiarray_umath.__cpu_baseline__
+            )},
+        ],
+        ids=["openblas-haswell", "numpy-no-avx512"],
+    )
+    def test_loops_agree_on_other_kernels(self, env):
+        # Other kernels may change the rotation bytes themselves; the two
+        # loops must still agree with each other.  A BLAS built without
+        # DYNAMIC_ARCH ignores OPENBLAS_CORETYPE, and numpy ignores features
+        # the CPU lacks: the child then runs the default kernels, so the
+        # test cannot fail there.
+        script = _KERNEL_CHILD.format(
+            reference=inspect.getsource(_gram_schmidt_rows_reference),
+            rotation=inspect.getsource(_reference_rotation),
+        )
+        src = os.path.dirname(os.path.dirname(transforms.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, **env),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests = [line.split() for line in proc.stdout.splitlines()]
+        assert len(digests) == 4
+        assert all(new == reference for new, reference in digests)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]]],
+        ids=["repeated-row", "zero-row"],
+    )
+    def test_degenerate_pivot_is_reported(self, rows):
+        assert _gram_schmidt_rows(np.array(rows)) is False
+
+    @pytest.mark.parametrize("seed, next_seed", [(5, 6), (2**64 - 1, 0)])
+    def test_degenerate_draw_restarts_with_next_seed(self, monkeypatch, seed, next_seed):
+        dim = 5
+        real_stream = transforms.gaussian_stream
+        drawn = []
+
+        def stream(s, n):
+            drawn.append(s)
+            g = real_stream(s, n)
+            if s == seed:  # make the first draw's rows 0 and 3 equal
+                g = g.reshape(dim, dim)
+                g[3] = g[0]
+                g = g.ravel()
+            return g
+
+        monkeypatch.setattr(transforms, "gaussian_stream", stream)
+        r = transforms.random_rotation(seed, dim)
+        monkeypatch.undo()
+        assert drawn == [seed, next_seed]
+        assert r.tobytes() == random_rotation(next_seed, dim).tobytes()
 
 
 class TestDiagonalScaling:
