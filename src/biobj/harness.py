@@ -120,7 +120,7 @@ class RunRecord:
             key, sep, raw = line.partition(": ")
             if not sep or key not in _HEADER or key in values:
                 raise RecordError(f"malformed header line {line!r}")
-            values[key] = _parse(_HEADER[key], raw, key)
+            values[key] = _parse_lines(_HEADER[key], [raw], key)[0]
         for key in tuple(_HEADER)[:-1]:  # all but the optional sigma
             if key not in values:
                 raise RecordError(f"missing header field {key!r}")
@@ -192,13 +192,6 @@ class RunRecord:
         if not abs(hv - record.final_hv) <= 1e-12:
             raise RecordError(f"final hypervolume {record.final_hv!r} != {hv!r}")
         return record
-
-
-def _parse(kind, text: str, what: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise RecordError(f"malformed {what}: {text!r}") from None
 
 
 def _parse_lines(kind, lines: list[str], what: str) -> list:
@@ -290,7 +283,7 @@ def run_optimizer(
         ideal=problem.ideal,
         nadir=problem.nadir,
         trace=trace,
-        archive=archive.rows,
+        archive=[(*row[:4], *row[4].tolist()) for row in archive.rows],
         sigma=sigma,
     )
 
@@ -306,14 +299,14 @@ def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, sigm
     the state of ``rng``'s bit generator after it; with an empty archive it
     draws one uniform point.
     """
-    xs = archive.xs
-    if sigma is None or not xs:
+    rows = archive.rows
+    if sigma is None or not rows:
         n = 1 if sigma is not None else min(left, max(1, UNMAPPED_BYTES // (8 * d)))
         return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (n, d)), None
     steps = np.empty((min(left, SPEC), d))
     parents, marks = [], []
     for step in steps:
-        parents.append(xs[rng.integers(len(xs))])
+        parents.append(rows[rng.integers(len(rows))][4])
         rng.standard_normal(out=step)
         marks.append(rng.bit_generator.state)
     return np.array(parents) + sigma * steps, marks
@@ -399,9 +392,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> str:
     """Execute all (problem, optimizer, seed) cells; returns the results dir.
 
     Re-running with the same configuration overwrites the same files with
-    identical bytes.  Each problem is built once and its handle is shared by
-    all of its (optimizer, seed) cells; ``run_optimizer`` keeps each cell's
-    evaluations to its budget.
+    identical bytes.  Each problem is built twice: once for its manifest
+    line, and once for the handle that all of its (optimizer, seed) cells
+    share; ``run_optimizer`` keeps each cell's evaluations to its budget.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     manifest_path = os.path.join(config.out_dir, "manifest.txt")

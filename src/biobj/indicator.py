@@ -65,10 +65,10 @@ class Archive:
     """Non-dominated archive bound to one problem's ideal/nadir points.
 
     Entries are kept sorted by the first normalized objective ascending
-    (hence second objective strictly descending).  Four parallel lists hold
-    them in that order: ``rows`` each entry's record row
-    ``(a_norm, b_norm, f1, f2, x_1, ..., x_D)`` of plain floats, ``xs`` its
-    decision vector, and ``_a`` and ``_b`` its normalized objectives.
+    (hence second objective strictly descending).  ``rows`` holds each entry
+    once, as ``(a_norm, b_norm, f1, f2, x)`` with ``x`` the archive's own
+    float64 copy of its decision vector; ``_a`` and ``_b`` hold its
+    normalized objectives in the same order, as the keys ``insert`` bisects.
     """
 
     def __init__(self, ideal, nadir):
@@ -76,8 +76,7 @@ class Archive:
         self.ideal = (float(ideal[0]), float(ideal[1]))
         self.nadir = (float(nadir[0]), float(nadir[1]))
         self._span = (self.nadir[0] - self.ideal[0], self.nadir[1] - self.ideal[1])
-        self.rows: list[tuple[float, ...]] = []
-        self.xs: list[np.ndarray] = []
+        self.rows: list[tuple] = []
         self._a: list[float] = []
         self._b: list[float] = []
         self._hv = 0.0
@@ -160,9 +159,7 @@ class Archive:
         if i > 0:
             new += _contribution(A[i - 1], B[i - 1], a)
 
-        x = np.array(x, dtype=float)
-        self.rows[i:j] = [(a, b, f1, f2, *x.tolist())]
-        self.xs[i:j] = [x]
+        self.rows[i:j] = [(a, b, f1, f2, np.array(x, dtype=float))]
         A[i:j] = [a]
         B[i:j] = [b]
         self._hv += new - old

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import biobj
-from biobj import cli, harness
+from biobj import cli, harness, suite
 from biobj.cli import _build_parser, main
 from biobj.harness import (
     ExperimentConfig,
@@ -26,6 +26,7 @@ from biobj.harness import (
     run_optimizer,
     write_record,
 )
+from biobj.indicator import Archive
 from biobj.report import (
     SUMMARY_HEADER,
     EmptyResultsError,
@@ -111,6 +112,34 @@ class TestArchiveEvolver:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             run_optimizer("archive-evolver", sphere_problem(), 10, 1, sigma=0.0)
+
+
+def test_archive_keeps_its_own_copy_of_each_x(monkeypatch):
+    """Writing over an inserted row, and over the block it came from, after
+    the insert changes neither ``Archive.rows`` nor a run's record."""
+    block = np.array([[0.1, 0.2], [0.3, 0.4]])
+    arch = Archive((0.0, 0.0), (1.0, 1.0))
+    for x, y in zip(block, [(0.2, 0.5), (0.5, 0.2)]):
+        assert arch.insert(x, y)
+        x[0] = 9.0
+    block[:] = -1.0
+    assert [(*row[:4], *row[4].tolist()) for row in arch.rows] == [
+        (0.2, 0.5, 0.2, 0.5, 0.1, 0.2), (0.5, 0.2, 0.5, 0.2, 0.3, 0.4)
+    ]
+
+    problem = instantiate_problem(21, 5, 1)
+    clean = {name: run_optimizer(name, problem, 200, 3) for name in harness.OPTIMIZERS}
+    insert = Archive.insert
+
+    def scribbling(self, x, y):
+        changed = insert(self, x, y)
+        x[...] = np.nan  # x is a row of the block that run_optimizer evaluated
+        return changed
+
+    monkeypatch.setattr(Archive, "insert", scribbling)
+    for name, record in clean.items():
+        assert len(record.archive) > 1 and len(record.trace) > 1
+        assert run_optimizer(name, problem, 200, 3).to_text() == record.to_text()
 
 
 class TestRecordIO:
@@ -366,22 +395,23 @@ class TestExperiment:
             fresh = run_optimizer(name, instantiate_problem(36, 3, 2), 60, seed)
             assert texts[name, seed] == {fresh.to_text()}
 
-    def test_each_problem_built_once(self, tmp_path, monkeypatch):
+    def test_each_problem_built_twice(self, tmp_path, monkeypatch):
+        # Once for its manifest line, once for the handle its cells share.
         built = []
-        instantiate = harness.instantiate_problem
+        build = suite._build
 
-        def counted(*args):
-            built.append(args)
-            return instantiate(*args)
+        def counted(pair_idx, dim, *instances):
+            built.append((pair_idx, dim))
+            return build(pair_idx, dim, *instances)
 
-        monkeypatch.setattr(harness, "instantiate_problem", counted)
+        monkeypatch.setattr(suite, "_build", counted)
         config = ExperimentConfig(
             out_dir=str(tmp_path / "res"), functions=(1, 2), dims=(2,), instances=(1,),
             optimizers=harness.OPTIMIZERS, seeds=(1, 2), budget_multiplier=5,
         )
         done = []
         run_experiment(config, progress=done.append)
-        assert built == [(1, 2, 1), (2, 2, 1)]
+        assert built == [(1, 2), (2, 2)] * 2
         assert len(done) == 8
 
 

@@ -164,9 +164,12 @@ class TestArchive:
     def test_sorted_invariant_and_non_domination_under_fuzz(self):
         rng = np.random.default_rng(15)
         arch = self.unit_archive()
+        offered = {}
         hv_prev = 0.0
         for _ in range(10**4):
-            arch.insert(rng.uniform(size=2), tuple(rng.uniform(-0.3, 1.4, 2)))
+            x, y = rng.uniform(size=2), tuple(rng.uniform(-0.3, 1.4, 2))
+            offered[y] = x.tolist()
+            arch.insert(x, y)
             assert arch.hypervolume_value >= hv_prev - 1e-15
             hv_prev = arch.hypervolume_value
         keys = [row[0] for row in arch.rows]
@@ -177,7 +180,10 @@ class TestArchive:
             for j, v in enumerate(arch.rows):
                 if i != j:
                     assert not dominates(u[:2], v[:2])
-        assert [list(row[4:]) for row in arch.rows] == [x.tolist() for x in arch.xs]
+        # Each entry keeps the decision vector it was offered with.
+        assert [row[4].tolist() for row in arch.rows] == [
+            offered[row[2:4]] for row in arch.rows
+        ]
 
     def test_incremental_matches_scratch(self):
         rng = np.random.default_rng(16)
@@ -234,7 +240,8 @@ grid_rows = st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(
 
 
 def _state(arch):
-    return list(arch.rows), arch.hypervolume_value.hex()
+    rows = [(*row[:4], *row[4].tolist()) for row in arch.rows]
+    return rows, arch.hypervolume_value.hex()
 
 
 # Grid rows and, now and then, one with a NaN or infinite objective.
