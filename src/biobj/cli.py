@@ -17,6 +17,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERRUPTED = 130
 
+#: Most values one filter flag may name, repeats included, counted before any
+#: range is expanded.
+MAX_VALUES = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default exits with code 2
@@ -27,7 +31,8 @@ def _int_set(text: str) -> tuple[int, ...]:
     """Parse '1,3,5' or '1-10' (or a mix) into a sorted tuple of ints.
 
     A chunk that is neither an integer nor a range LO-HI with LO <= HI is a
-    usage error naming the chunk.
+    usage error naming the chunk, and so is a chunk that would take the
+    flag past ``MAX_VALUES`` values.
     """
     values: set[int] = set()
     for chunk in text.split(","):
@@ -41,6 +46,10 @@ def _int_set(text: str) -> tuple[int, ...]:
         if not ascending:
             raise argparse.ArgumentTypeError(
                 f"{chunk!r} is not an integer or an ascending range LO-HI"
+            )
+        if len(values) + hi - lo >= MAX_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"{chunk!r} names more than {MAX_VALUES} values"
             )
         values.update(range(lo, hi + 1))
     return tuple(sorted(values))
@@ -67,7 +76,6 @@ def _build_parser() -> _Parser:
     )
     p_run.add_argument("--budget-mult", type=int, default=harness.DEFAULT_BUDGET_MULTIPLIER)
     p_run.add_argument("--seeds", type=_int_set, default=harness.DEFAULT_SEEDS)
-    p_run.add_argument("--sigma", type=float, default=harness.DEFAULT_SIGMA)
     p_run.add_argument("--out", required=True, help="results directory")
 
     p_sum = sub.add_parser("summarize", help="summary table from a results dir")
@@ -119,7 +127,6 @@ def _cmd_run(args) -> int:
         optimizers=tuple(args.optimizer or ("random-search",)),
         seeds=tuple(args.seeds),
         budget_multiplier=args.budget_mult,
-        sigma=args.sigma,
     )
     harness.run_experiment(config)
     return EXIT_OK

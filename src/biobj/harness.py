@@ -27,7 +27,8 @@ from .suite import (
 
 DEFAULT_BUDGET_MULTIPLIER = 1000
 DEFAULT_SEEDS = tuple(range(1, 16))
-DEFAULT_SIGMA = 0.5
+#: The archive evolver's step size; no setting changes it.
+SIGMA = 0.5
 
 #: Optimizer names; an optimizer's position here tags its random stream.
 OPTIMIZERS = ("random-search", "archive-evolver")
@@ -40,7 +41,7 @@ class RecordError(ValueError):
 def check_run_settings(optimizer: str, seed: int, budget: int, sigma=None) -> None:
     """The rule for a run's settings; raises ValueError naming the bad one.
 
-    ``sigma``, the archive evolver's step size, is checked when given.
+    ``sigma``, a record's archive-evolver step size, is checked when given.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
@@ -233,12 +234,10 @@ _HEADER = {
 SPEC = 8
 
 
-def run_optimizer(
-    name: str, problem: BiObjProblem, budget: int, seed: int, sigma: float = DEFAULT_SIGMA
-) -> RunRecord:
+def run_optimizer(name: str, problem: BiObjProblem, budget: int, seed: int) -> RunRecord:
     """Run optimizer ``name`` for ``budget`` evaluations; trace each archive
-    change.  ``sigma`` is the archive evolver's step size; random search
-    ignores it and records None.
+    change.  The archive evolver steps with ``SIGMA`` and records it; random
+    search records None.
 
     Each block of rows from ``_propose`` is evaluated as one batch and its
     rows are offered to ``Archive.insert`` in order.  A block whose rows do
@@ -249,9 +248,8 @@ def run_optimizer(
     that row's mark, so the record has the same bytes for any block sizes.
     Raises ValueError unless the settings pass ``check_run_settings``.
     """
-    if name == "random-search":
-        sigma = None
-    check_run_settings(name, seed, budget, sigma)
+    sigma = None if name == "random-search" else SIGMA
+    check_run_settings(name, seed, budget)
     pid = problem.id
     rng = np.random.default_rng(
         [seed, pid.pair_index, pid.dim, pid.instance, OPTIMIZERS.index(name)]
@@ -362,6 +360,10 @@ def read_record(path: str) -> RunRecord:
 
 @dataclass
 class ExperimentConfig:
+    """Every (problem, optimizer, seed) cell the filters select, each run for
+    ``budget_multiplier`` x D evaluations; the archive evolver steps with
+    ``SIGMA``.  Construction raises ValueError on a bad setting."""
+
     out_dir: str
     functions: tuple[int, ...] | None = None
     dims: tuple[int, ...] | None = None
@@ -369,7 +371,6 @@ class ExperimentConfig:
     optimizers: tuple[str, ...] = ("random-search",)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     budget_multiplier: int = DEFAULT_BUDGET_MULTIPLIER
-    sigma: float = DEFAULT_SIGMA
     problem_ids: list = field(init=False)
 
     def __post_init__(self):
@@ -382,7 +383,7 @@ class ExperimentConfig:
         # budget passes the rule iff the multiplier does.
         for name in self.optimizers:
             for seed in self.seeds:
-                check_run_settings(name, seed, self.budget_multiplier, self.sigma)
+                check_run_settings(name, seed, self.budget_multiplier)
         self.problem_ids = enumerate_suite(self.functions, self.dims, self.instances)
         if not self.problem_ids:
             raise ValueError("experiment filters select no problems")
@@ -405,7 +406,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> str:
         problem = instantiate_problem(pid.pair_index, pid.dim, pid.instance)
         for optimizer in config.optimizers:
             for seed in config.seeds:
-                record = run_optimizer(optimizer, problem, budget, seed, config.sigma)
+                record = run_optimizer(optimizer, problem, budget, seed)
                 write_record(record, config.out_dir)
                 if progress is not None:
                     progress(record)

@@ -233,7 +233,7 @@ def test_criterion_9_baseline_sanity():
                 )
                 ev.append(
                     run_optimizer(
-                        "archive-evolver", instantiate_problem(k, 2, 1), 2000, seed, 0.5
+                        "archive-evolver", instantiate_problem(k, 2, 1), 2000, seed
                     ).final_hv
                 )
             assert np.median(ev) >= np.median(rs)

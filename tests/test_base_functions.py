@@ -200,3 +200,38 @@ class TestProperties:
     def test_names(self):
         assert BASE_FUNCTION_NAMES[1] == "Sphere"
         assert BASE_FUNCTION_NAMES[21] == "Gallagher 101 peaks"
+
+
+def _box_rows(inst, r):
+    """Rows of [-r, r]^D where values grow fastest: the all-r corner, an
+    alternating corner, each axis point, and for each (D, D) matrix in
+    ``aux`` the corners that maximize one of its output coordinates; then
+    all their negatives and 16 uniform rows."""
+    d = inst.dim
+    rows = [np.ones(d), np.resize([1.0, -1.0], d), *np.eye(d)]
+    for m in inst.aux.values():
+        if isinstance(m, np.ndarray) and m.shape == (d, d):
+            rows += list(np.sign(m))
+    X = np.array(rows)
+    rng = np.random.default_rng([inst.fn, inst.instance_id, d])
+    return r * np.vstack([X, -X, rng.uniform(-1.0, 1.0, (16, d))])
+
+
+class TestMargin:
+    """The archive evolver's constant step keeps its rows within |x_i| <= 20
+    (tests/test_batch.py); every value stays finite far past that."""
+
+    @pytest.mark.parametrize("dim", SUITE_DIMS)
+    @pytest.mark.parametrize("fn", BASE_FUNCTION_IDS)
+    def test_finite_within_1e3(self, fn, dim):
+        for instance in range(1, 16):
+            inst = instantiate_base(fn, instance, dim)
+            with np.errstate(all="raise", under="ignore"):
+                assert np.isfinite(evaluate_base(inst, _box_rows(inst, 1e3))).all()
+
+    @pytest.mark.parametrize("fn, dims", [(15, (40,)), (17, SUITE_DIMS)])
+    def test_overflows_at_1e4(self, fn, dims):
+        for dim in dims:
+            inst = instantiate_base(fn, 1, dim)
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(evaluate_base(inst, _box_rows(inst, 1e4))).all()

@@ -171,11 +171,11 @@ def test_default_d2_cell_is_one_block():
     assert [n for n, *_ in blocks] == [2000]
 
 
-def _evolver_text(k, dim, budget, seed, sigma, spec):
+def _evolver_text(k, dim, budget, seed, spec):
     """Record text of an evolver run with blocks of up to ``spec`` rows."""
     problem = instantiate_problem(k, dim, 1)
     with _blocks() as blocks, mock.patch.object(harness, "SPEC", spec):
-        text = run_optimizer("archive-evolver", problem, budget, seed, sigma).to_text()
+        text = run_optimizer("archive-evolver", problem, budget, seed).to_text()
     assert _kept_rows(blocks, "archive-evolver") == budget
     return text
 
@@ -183,7 +183,7 @@ def _evolver_text(k, dim, budget, seed, sigma, spec):
 @pytest.mark.parametrize("dim,budget", [(3, 150), (40, 200)])
 def test_evolver_record_independent_of_spec(dim, budget):
     texts = {
-        spec: [_evolver_text(k, dim, budget, 5, 0.5, spec) for k in ALL_FUNCTION_PAIRS]
+        spec: [_evolver_text(k, dim, budget, 5, spec) for k in ALL_FUNCTION_PAIRS]
         for spec in (1, 2, 3, harness.SPEC, 64)
     }
     assert all(t == texts[1] for t in texts.values())
@@ -194,12 +194,11 @@ def test_evolver_record_independent_of_spec(dim, budget):
     k=st.integers(1, 55),
     dim=st.sampled_from((2, 3, 5)),
     seed=st.integers(0, 2**31),
-    sigma=st.floats(1e-3, 3.0),
     budget=st.integers(1, 200),
 )
-def test_evolver_record_same_as_one_row_at_a_time(k, dim, seed, sigma, budget):
-    assert _evolver_text(k, dim, budget, seed, sigma, 1) == _evolver_text(
-        k, dim, budget, seed, sigma, harness.SPEC
+def test_evolver_record_same_as_one_row_at_a_time(k, dim, seed, budget):
+    assert _evolver_text(k, dim, budget, seed, 1) == _evolver_text(
+        k, dim, budget, seed, harness.SPEC
     )
 
 
@@ -269,3 +268,23 @@ def test_d_axis_sum_same_bits_as_add_reduce(n):
     T = np.ascontiguousarray(A.transpose(0, 2, 1))
     assert _sum_d_axis(T).tobytes() == expected.tobytes()
     assert _sum_d_axis(T[0]).tobytes() == expected[0].tobytes()
+
+
+def test_evolver_rows_stay_inside_the_finite_box():
+    """Every row the evolver evaluates with its constant step on the 55
+    pairs at D = 2 has |x_i| <= 20, far inside the |x_i| <= 1e3 box where
+    every base function is finite (tests/test_base_functions.py)."""
+    rows, outside = [0], [0]
+    evaluate = BiObjProblem.evaluate
+
+    def evaluate_block(self, X):
+        rows[0] += len(X)
+        outside[0] += int((np.abs(X) > 20.0).any(axis=1).sum())
+        return evaluate(self, X)
+
+    with mock.patch.object(BiObjProblem, "evaluate", evaluate_block):
+        for k in range(1, 56):
+            for seed in (1, 2):
+                run_optimizer("archive-evolver", instantiate_problem(k, 2, 1), 200, seed)
+    assert rows[0] >= 55 * 2 * 200
+    assert outside[0] == 0

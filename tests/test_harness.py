@@ -84,14 +84,6 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             run_optimizer("random-search", sphere_problem(), 0, 1)
 
-    def test_sigma_ignored(self):
-        texts = {
-            run_optimizer("random-search", sphere_problem(), 200, 3, sigma).to_text()
-            for sigma in (harness.DEFAULT_SIGMA, 1e-3, 3.0)
-        }
-        assert len(texts) == 1
-        assert "sigma:" not in texts.pop()
-
 
 class TestArchiveEvolver:
     def test_budget_one_is_single_sample(self):
@@ -99,8 +91,8 @@ class TestArchiveEvolver:
         assert len(record.archive) == 1
 
     def test_deterministic(self):
-        a = run_optimizer("archive-evolver", sphere_problem(), 300, 2, 0.5)
-        b = run_optimizer("archive-evolver", sphere_problem(), 300, 2, 0.5)
+        a = run_optimizer("archive-evolver", sphere_problem(), 300, 2)
+        b = run_optimizer("archive-evolver", sphere_problem(), 300, 2)
         assert a.to_text() == b.to_text()
 
     def test_multimodal_pair_contract(self):
@@ -108,10 +100,6 @@ class TestArchiveEvolver:
         assert record.trace
         for prev, cur in zip(record.trace, record.trace[1:]):
             assert cur[0] > prev[0] and cur[1] >= prev[1]
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            run_optimizer("archive-evolver", sphere_problem(), 10, 1, sigma=0.0)
 
 
 def test_archive_keeps_its_own_copy_of_each_x(monkeypatch):
@@ -156,9 +144,14 @@ class TestRecordIO:
         assert len(loaded.archive[0]) == 2 + 2 + 3
 
     def test_evolver_sigma_roundtrip(self, tmp_path):
-        record = run_optimizer("archive-evolver", sphere_problem(), 50, 1, 0.25)
-        assert "sigma: 0.25\n" in record.to_text()
-        assert read_record(write_record(record, str(tmp_path))).sigma == 0.25
+        record = run_optimizer("archive-evolver", sphere_problem(), 50, 1)
+        assert "sigma: 0.5\n" in record.to_text()
+        assert harness.SIGMA == 0.5
+        assert read_record(write_record(record, str(tmp_path))).sigma == 0.5
+        # Earlier versions let a run set the step; their records still read.
+        old = tmp_path / "old.rec"
+        old.write_text(record.to_text().replace("sigma: 0.5\n", "sigma: 0.25\n"))
+        assert read_record(str(old)).sigma == 0.25
 
     @pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
     def test_writer_and_header_table_agree(self, optimizer):
@@ -666,6 +659,8 @@ class TestCli:
             ("random-search", "optimizer", "nonsense", "unknown optimizer 'nonsense'"),
             ("archive-evolver", "sigma", None, "'sigma:' belongs"),
             ("random-search", "sigma", "0.5", "'sigma:' belongs"),
+            ("archive-evolver", "sigma", "0.0", "sigma must be positive and finite"),
+            ("archive-evolver", "sigma", "inf", "sigma must be positive and finite"),
             ("random-search", "seed", "-7", "seeds must be non-negative, got -7"),
             ("random-search", "budget", "0", "budget must be >= 1, got 0"),
             ("random-search", "ideal", "nan nan", "must be strictly below nadir"),
@@ -673,8 +668,9 @@ class TestCli:
             ("archive-evolver", "nadir", "inf inf", "must be finite"),
             ("random-search", "ideal", "-50.0 -50.0", "are not its f1 f2 normalized"),
         ],
-        ids=["optimizer", "evolver-without-sigma", "search-with-sigma", "seed",
-             "budget", "ideal", "ideal-infinite", "nadir-infinite", "ideal-moved"],
+        ids=["optimizer", "evolver-without-sigma", "search-with-sigma", "sigma-zero",
+             "sigma-infinite", "seed", "budget", "ideal", "ideal-infinite",
+             "nadir-infinite", "ideal-moved"],
     )
     def test_bad_run_settings_are_a_data_error(
         self, tmp_path, capsys, optimizer, key, value, error
@@ -800,7 +796,7 @@ class TestCli:
         module, _, name = attr.rpartition(".")
         assert getattr(importlib.import_module(module), name) == biobj.__version__
 
-    @pytest.mark.parametrize("bad", [["--sigma", "0"], ["--seeds=-1"]])
+    @pytest.mark.parametrize("bad", [["--sigma", "0.5"], ["--seeds=-1"]])
     def test_usage_error_writes_nothing(self, tmp_path, capsys, bad):
         out = tmp_path / "res"
         code = main(
@@ -809,7 +805,8 @@ class TestCli:
              "--budget-mult", "5", *bad, "--out", str(out)]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
