@@ -13,7 +13,7 @@ from .base_functions import (
     evaluate_base,
     instantiate_base,
 )
-from .indicator import Archive, dominates, hypervolume, normalize
+from .indicator import Archive, hypervolume, normalize
 from .suite import (
     BiObjProblem,
     ProblemId,
@@ -32,7 +32,6 @@ __all__ = [
     "BaseInstance",
     "BiObjProblem",
     "ProblemId",
-    "dominates",
     "enumerate_suite",
     "evaluate_base",
     "group_of",

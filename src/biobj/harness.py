@@ -32,25 +32,23 @@ SIGMA = 0.5
 
 #: Optimizer names; an optimizer's position here tags its random stream.
 OPTIMIZERS = ("random-search", "archive-evolver")
+#: Largest seed: a record file name stays short at any seed up to it.
+MAX_SEED = 2**32 - 1
 
 
 class RecordError(ValueError):
     """A record's text is malformed or violates the trace or archive invariants."""
 
 
-def check_run_settings(optimizer: str, seed: int, budget: int, sigma=None) -> None:
-    """The rule for a run's settings; raises ValueError naming the bad one.
-
-    ``sigma``, a record's archive-evolver step size, is checked when given.
-    """
+def check_run_settings(optimizer: str, seed: int, budget: int) -> None:
+    """The rule for a run's settings, shared by the runner, ``ExperimentConfig``
+    and the record reader; raises ValueError naming the bad one."""
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
-    if seed < 0:
-        raise ValueError(f"seeds must be non-negative, got {seed}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seeds must be in 0..{MAX_SEED}, got {seed}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if sigma is not None and not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 @dataclass
@@ -109,7 +107,9 @@ class RunRecord:
 
     @classmethod
     def from_text(cls, text: str) -> RunRecord:
-        """Parse the output of ``to_text``; raises RecordError when malformed."""
+        """Parse the output of ``to_text``; raises RecordError when malformed.
+        The reader owns the step rule: a positive, finite ``sigma`` in exactly
+        the archive-evolver records."""
         lines = text.splitlines()
         try:
             at_trace = lines.index("trace:")
@@ -144,12 +144,14 @@ class RunRecord:
         if group != record.group:
             raise RecordError(f"group {group!r} is not that of pair {problem.pair_index}")
         try:
-            check_run_settings(record.optimizer, record.seed, record.budget, record.sigma)
+            check_run_settings(record.optimizer, record.seed, record.budget)
             check_bounds(record.ideal, record.nadir)
         except ValueError as exc:
             raise RecordError(str(exc)) from None
         if (record.sigma is None) == (record.optimizer == "archive-evolver"):
             raise RecordError("'sigma:' belongs in exactly the archive-evolver records")
+        if not (record.sigma is None or 0 < record.sigma < math.inf):
+            raise RecordError(f"sigma must be positive and finite, got {record.sigma}")
         # A run of budget >= 1 inserts its first finite row, and every insert
         # writes a trace line and leaves the archive non-empty.
         if not (record.trace and record.archive):
@@ -248,8 +250,8 @@ def run_optimizer(name: str, problem: BiObjProblem, budget: int, seed: int) -> R
     that row's mark, so the record has the same bytes for any block sizes.
     Raises ValueError unless the settings pass ``check_run_settings``.
     """
-    sigma = None if name == "random-search" else SIGMA
     check_run_settings(name, seed, budget)
+    evolver = name == "archive-evolver"
     pid = problem.id
     rng = np.random.default_rng(
         [seed, pid.pair_index, pid.dim, pid.instance, OPTIMIZERS.index(name)]
@@ -258,7 +260,7 @@ def run_optimizer(name: str, problem: BiObjProblem, budget: int, seed: int) -> R
     trace: list[tuple[int, float]] = []
     i = 0
     while i < budget:
-        X, marks = _propose(archive, rng, budget - i, pid.dim, sigma)
+        X, marks = _propose(archive, rng, budget - i, pid.dim, evolver)
         fa, fb = problem.evaluate(X)
         # Only rows that do not depend on the archive are screened; on
         # evolver blocks (up to SPEC rows) the screen cost more than it saved.
@@ -282,24 +284,24 @@ def run_optimizer(name: str, problem: BiObjProblem, budget: int, seed: int) -> R
         nadir=problem.nadir,
         trace=trace,
         archive=[(*row[:4], *row[4].tolist()) for row in archive.rows],
-        sigma=sigma,
+        sigma=SIGMA if evolver else None,
     )
 
 
-def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, sigma):
+def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, evolver: bool):
     """The next block of 1 to ``left`` rows, and the marks of its rows.
 
-    Random search (``sigma`` None) draws as many uniform points of [-5, 5]^d
-    in one call as keep the (rows, d) block under UNMAPPED_BYTES, which takes
-    the same stream values as one call per point; its rows do not depend on
-    the archive, so it has no marks.  The archive evolver mutates up to SPEC
-    uniformly chosen archive members by Gaussian steps, marking each row with
-    the state of ``rng``'s bit generator after it; with an empty archive it
-    draws one uniform point.
+    Random search (``evolver`` false) draws as many uniform points of
+    [-5, 5]^d in one call as keep the (rows, d) block under UNMAPPED_BYTES,
+    which takes the same stream values as one call per point; its rows do
+    not depend on the archive, so it has no marks.  The archive evolver
+    mutates up to SPEC uniformly chosen archive members by Gaussian steps of
+    size ``SIGMA``, marking each row with the state of ``rng``'s bit
+    generator after it; with an empty archive it draws one uniform point.
     """
     rows = archive.rows
-    if sigma is None or not rows:
-        n = 1 if sigma is not None else min(left, max(1, UNMAPPED_BYTES // (8 * d)))
+    if not (evolver and rows):
+        n = 1 if evolver else min(left, max(1, UNMAPPED_BYTES // (8 * d)))
         return rng.uniform(-PENALTY_EDGE, PENALTY_EDGE, (n, d)), None
     steps = np.empty((min(left, SPEC), d))
     parents, marks = [], []
@@ -307,7 +309,7 @@ def _propose(archive: Archive, rng: np.random.Generator, left: int, d: int, sigm
         parents.append(rows[rng.integers(len(rows))][4])
         rng.standard_normal(out=step)
         marks.append(rng.bit_generator.state)
-    return np.array(parents) + sigma * steps, marks
+    return np.array(parents) + SIGMA * steps, marks
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dominance, objective normalization, and exact bi-objective hypervolume.
+"""Objective normalization and exact bi-objective hypervolume.
 
 The archive keeps mutually non-dominated entries sorted by the first
 normalized objective and maintains its normalized hypervolume (reference
@@ -12,13 +12,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-
-
-def dominates(u, v) -> bool:
-    """Minimization dominance: u no worse in both, strictly better in one."""
-    ua, ub = u
-    va, vb = v
-    return ua <= va and ub <= vb and (ua < va or ub < vb)
 
 
 def check_bounds(ideal, nadir) -> None:

@@ -102,28 +102,8 @@ def _pair_is_valid(k_alpha: int, k_beta: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def compute_instance_pair(biobj_instance: int) -> tuple[int, int]:
-    """Derive the single-objective instance ids for one bi-objective id.
-
-    Ids 1 and 2 are the historical exceptions, read from ``INSTANCE_PAIRS``.
-    Otherwise the candidate (2K+1, 2K+2) is used, incrementing the second
-    id until the validity conditions hold for every pair and dimension.
-    The result is cached: each id's validity loop runs once per process.
-    """
-    if biobj_instance < 1:
-        raise ValueError(f"instance id must be >= 1, got {biobj_instance}")
-    if biobj_instance <= 2:
-        return INSTANCE_PAIRS[biobj_instance]
-    k_alpha = 2 * biobj_instance + 1
-    k_beta = k_alpha + 1
-    while not _pair_is_valid(k_alpha, k_beta):
-        k_beta += 1
-    return (k_alpha, k_beta)
-
-
-#: Ids 1..N_INSTANCES, as ``compute_instance_pair`` derives them; a test
-#: re-derives every entry.
+#: Ids 1..N_INSTANCES, as ``instance_map`` derives them; a test re-derives
+#: ids 3..N_INSTANCES through the validity loop.
 INSTANCE_PAIRS = {
     1: (2, 4),
     2: (3, 5),
@@ -141,17 +121,33 @@ INSTANCE_PAIRS = {
 def instance_map(biobj_instance: int) -> tuple[int, int]:
     """Single-objective instance ids (K_alpha, K_beta) for a bi-objective id.
 
-    Ids 1..10 come from ``INSTANCE_PAIRS``; ids beyond it are derived on
-    demand with the validity loop.
+    Ids 1 and 2 are the paper's exceptions; any other id K takes (2K+1,
+    2K+2), the second raised until every pair builds in every dimension.
+    Ids in ``INSTANCE_PAIRS`` are read from it, and each other id is derived
+    once per process.  Raises ValueError unless ``ProblemId`` accepts K.
     """
+    ProblemId(1, SUITE_DIMS[0], biobj_instance)  # its instance rule
     if biobj_instance in INSTANCE_PAIRS:
         return INSTANCE_PAIRS[biobj_instance]
-    return compute_instance_pair(biobj_instance)
+    return _derive_instance_pair(biobj_instance)
+
+
+@lru_cache(maxsize=None)
+def _derive_instance_pair(biobj_instance: int) -> tuple[int, int]:
+    """The validity loop for one id K >= 3."""
+    k_alpha = 2 * biobj_instance + 1
+    k_beta = k_alpha + 1
+    while not _pair_is_valid(k_alpha, k_beta):
+        k_beta += 1
+    return (k_alpha, k_beta)
 
 
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
+
+#: Largest instance id: a record file name stays short at any id up to it.
+MAX_INSTANCE = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,8 @@ class ProblemId:
         unpair(self.pair_index)  # raises outside 1..55
         if self.dim not in SUITE_DIMS:
             raise ValueError(f"dimension {self.dim} is not in {SUITE_DIMS}")
-        if self.instance < 1:
-            raise ValueError(f"instance id must be >= 1, got {self.instance}")
+        if not 1 <= self.instance <= MAX_INSTANCE:
+            raise ValueError(f"instance id {self.instance} is not in 1..{MAX_INSTANCE}")
 
     def __str__(self) -> str:
         return f"k{self.pair_index:02d}_d{self.dim:02d}_i{self.instance:02d}"
@@ -230,13 +226,18 @@ def instantiate_problem(pair_idx: int, dim: int, instance: int) -> BiObjProblem:
     return BiObjProblem(pid, *_build(pair_idx, dim, *instance_map(instance)))
 
 
+#: Most problems one ``enumerate_suite`` call may select.
+MAX_PROBLEMS = 10**6
+
+
 def enumerate_suite(
     functions=None, dims=None, instances=None
 ) -> list[ProblemId]:
     """Ordered problem ids: dimension-major, then pair index, then instance.
 
     Unfiltered, this is the full 55 x 6 x 10 = 3300-problem suite.  A filter
-    value that names no suite problem raises ValueError (from ProblemId).
+    value that names no suite problem raises ValueError (from ProblemId), and
+    so do filters that select over ``MAX_PROBLEMS`` problems, before any id is built.
     """
     funcs = sorted(set(functions)) if functions is not None else range(1, N_PAIRS + 1)
     ds = sorted(set(dims)) if dims is not None else SUITE_DIMS
@@ -245,6 +246,8 @@ def enumerate_suite(
         if instances is not None
         else range(1, N_INSTANCES + 1)
     )
+    if len(funcs) * len(ds) * len(insts) > MAX_PROBLEMS:
+        raise ValueError(f"the filters select more than {MAX_PROBLEMS} problems")
     return [
         ProblemId(k, d, i) for d in ds for k in funcs for i in insts
     ]

@@ -21,7 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import biobj
-from biobj import cli, harness
+from biobj import cli, harness, suite
 from biobj.harness import ExperimentConfig, run_experiment
 from biobj.suite import N_INSTANCES, SUITE_DIMS, enumerate_suite
 
@@ -146,6 +146,26 @@ def test_long_range_is_rejected_before_it_is_expanded(tmp_path, capsys):
         assert cli.main(["run", "--seeds", "0-1000000", "--out", str(out)]) == 1
         assert "'0-1000000' names more than" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_problem_count_is_capped_before_any_id_is_built(capsys, monkeypatch):
+    built = []
+
+    class CountingId(suite.ProblemId):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(suite, "ProblemId", CountingId)
+    assert cli.main(["suite", "list", "--instances", "1-1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: the filters select more than {suite.MAX_PROBLEMS} problems\n"
+    )
+    assert built == []
+    assert cli.main(["suite", "list", "--dims", "2", "--instances", "1-2"]) == 0
+    assert len(built) == 110  # the count sees every id built
 
 
 def test_range_cap_counts_every_chunk(monkeypatch):

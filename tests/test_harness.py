@@ -661,7 +661,9 @@ class TestCli:
             ("random-search", "sigma", "0.5", "'sigma:' belongs"),
             ("archive-evolver", "sigma", "0.0", "sigma must be positive and finite"),
             ("archive-evolver", "sigma", "inf", "sigma must be positive and finite"),
-            ("random-search", "seed", "-7", "seeds must be non-negative, got -7"),
+            ("random-search", "seed", "-7", "seeds must be in 0..4294967295, got -7"),
+            ("random-search", "seed", "4294967296", "seeds must be in 0..4294967295"),
+            ("random-search", "instance", "4294967296", "instance id 4294967296 is not"),
             ("random-search", "budget", "0", "budget must be >= 1, got 0"),
             ("random-search", "ideal", "nan nan", "must be strictly below nadir"),
             ("random-search", "ideal", "-inf -inf", "must be finite"),
@@ -669,7 +671,8 @@ class TestCli:
             ("random-search", "ideal", "-50.0 -50.0", "are not its f1 f2 normalized"),
         ],
         ids=["optimizer", "evolver-without-sigma", "search-with-sigma", "sigma-zero",
-             "sigma-infinite", "seed", "budget", "ideal", "ideal-infinite",
+             "sigma-infinite", "seed", "seed-too-large", "instance-too-large",
+             "budget", "ideal", "ideal-infinite",
              "nadir-infinite", "ideal-moved"],
     )
     def test_bad_run_settings_are_a_data_error(
@@ -785,6 +788,16 @@ class TestCli:
         for rec in recs:
             read_record(str(rec))
 
+    def test_public_names_pinned(self):
+        # adding or removing a public name is a named change to this list
+        assert sorted(biobj.__all__) == [
+            "Archive", "BASE_FUNCTION_IDS", "BASE_FUNCTION_NAMES", "BaseInstance",
+            "BiObjProblem", "ProblemId", "enumerate_suite", "evaluate_base",
+            "group_of", "hypervolume", "instance_map", "instantiate_base",
+            "instantiate_problem", "normalize", "pair_index", "unpair",
+        ]
+        assert all(hasattr(biobj, name) for name in biobj.__all__)
+
     def test_one_version_string(self):
         tomllib = pytest.importorskip("tomllib")
         root = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -796,7 +809,11 @@ class TestCli:
         module, _, name = attr.rpartition(".")
         assert getattr(importlib.import_module(module), name) == biobj.__version__
 
-    @pytest.mark.parametrize("bad", [["--sigma", "0.5"], ["--seeds=-1"]])
+    @pytest.mark.parametrize(
+        "bad",  # an unknown option, then each seed and instance bound
+        [["--sigma", "0.5"], ["--seeds=-1"], ["--seeds", str(10**300)],
+         ["--instances", str(10**300)]],
+    )
     def test_usage_error_writes_nothing(self, tmp_path, capsys, bad):
         out = tmp_path / "res"
         code = main(
@@ -828,6 +845,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not target.parent.exists()
+
+    def test_largest_seed_is_written(self, tmp_path):
+        out = str(tmp_path / "res")
+        code = main(
+            ["run", "--functions", "1", "--dims", "2", "--instances", "1",
+             "--budget-mult", "5", "--seeds", str(harness.MAX_SEED), "--out", out]
+        )
+        assert code == 0
+        rec = os.path.join(out, "k01_d02_i01_random-search_s4294967295.rec")
+        assert read_record(rec).seed == harness.MAX_SEED
 
     def test_seed_range_syntax(self, tmp_path):
         out = str(tmp_path / "res")

@@ -7,13 +7,14 @@ from biobj import suite
 from biobj.suite import (
     INSTANCE_PAIRS,
     MANIFEST_HEADER,
+    MAX_INSTANCE,
     N_PAIRS,
     ProblemId,
     SUITE_DIMS,
     SuiteConsistencyError,
     _build,
+    _derive_instance_pair,
     _pair_is_valid,
-    compute_instance_pair,
     enumerate_suite,
     function_pair,
     group_of,
@@ -130,9 +131,10 @@ class TestInstanceMap:
         assert kb >= 20
 
     def test_shipped_table_matches_validity_loop(self):
-        # every entry through the full loop; on a generator change, the
-        # assertion's diff prints the table to ship
-        assert {k: compute_instance_pair(k) for k in INSTANCE_PAIRS} == INSTANCE_PAIRS
+        # ids 3..10 through the full loop (1 and 2 are the exceptions); on a
+        # generator change, the assertion's diff prints the table to ship
+        derived = {k: _derive_instance_pair(k) for k in INSTANCE_PAIRS if k > 2}
+        assert derived == {k: v for k, v in INSTANCE_PAIRS.items() if k > 2}
 
     def test_extends_beyond_table(self):
         ka, kb = instance_map(11)
@@ -143,6 +145,12 @@ class TestInstanceMap:
         with pytest.raises(ValueError):
             instance_map(0)
 
+    def test_rejects_ids_past_the_bound(self, monkeypatch):
+        ProblemId(1, 2, MAX_INSTANCE)
+        monkeypatch.setattr(suite, "_pair_is_valid", None)  # the loop must not run
+        with pytest.raises(ValueError, match="instance id"):
+            instance_map(MAX_INSTANCE + 1)
+
     def test_derived_pair_cached(self, monkeypatch):
         calls = []
 
@@ -150,7 +158,7 @@ class TestInstanceMap:
             calls.append(args)
             return _build(*args)
 
-        compute_instance_pair.cache_clear()
+        _derive_instance_pair.cache_clear()
         monkeypatch.setattr(suite, "_build", counting_build)
         first = instance_map(11)
         n = len(calls)
@@ -177,6 +185,12 @@ class TestEnumeration:
 
     def test_empty_result_allowed(self):
         assert enumerate_suite(functions=set(), dims={2}) == []
+
+    def test_problem_count_capped(self, monkeypatch):
+        monkeypatch.setattr(suite, "MAX_PROBLEMS", 110)
+        assert len(enumerate_suite(instances={1}, dims={2, 3})) == 110
+        with pytest.raises(ValueError, match="more than 110 problems"):
+            enumerate_suite(instances={1, 2}, dims={2, 3})
 
     def test_invalid_filters_rejected(self):
         with pytest.raises(ValueError):
@@ -254,7 +268,7 @@ class TestProblems:
         "fields, error",
         [((0, 2, 1), "pair index"), ((56, 2, 1), "pair index"),
          ((1, 4, 1), "dimension 4"), ((1, 1, 1), "dimension 1"),
-         ((1, 2, 0), "instance id")],
+         ((1, 2, 0), "instance id"), ((1, 2, MAX_INSTANCE + 1), "instance id")],
     )
     def test_problem_id_checks_itself(self, fields, error):
         with pytest.raises(ValueError, match=error):
